@@ -26,9 +26,27 @@ use unicert::telemetry;
 /// `--flag value` / `--flag=value` pairs (e.g. the shared `--metrics-out` /
 /// `--trace-out` telemetry flags, see [`telemetry_args`]) are skipped, so
 /// positional corpus arguments and telemetry flags compose in any order.
+/// A size or seed that is not a number is a usage error: the message goes
+/// to stderr and the process exits with status 2.
 pub fn corpus_args(default_size: usize) -> CorpusConfig {
+    match parse_corpus_args(std::env::args().skip(1), default_size) {
+        Ok(config) => config,
+        Err(problem) => {
+            eprintln!("error: {problem}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The pure half of [`corpus_args`]: parse `[size] [seed]` out of `args`
+/// (argv without the program name). Absent values take the defaults
+/// (`default_size`, seed 42); present ones must parse.
+pub fn parse_corpus_args(
+    args: impl IntoIterator<Item = String>,
+    default_size: usize,
+) -> Result<CorpusConfig, String> {
     let mut positional = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         if let Some(flag) = arg.strip_prefix("--") {
             // Every harness flag takes a value: `--flag=value` is
@@ -40,9 +58,22 @@ pub fn corpus_args(default_size: usize) -> CorpusConfig {
         }
         positional.push(arg);
     }
-    let size = positional.first().and_then(|s| s.parse().ok()).unwrap_or(default_size);
-    let seed = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(42);
-    CorpusConfig { size, seed, precert_fraction: 0.0, latent_defects: true }
+    let size = parse_or(positional.first(), "corpus size", default_size)?;
+    let seed = parse_or(positional.get(1), "seed", 42)?;
+    Ok(CorpusConfig { size, seed, precert_fraction: 0.0, latent_defects: true })
+}
+
+/// Parse an optional positional number, falling back to `default` only
+/// when the argument is absent.
+fn parse_or<T: std::str::FromStr>(
+    arg: Option<&String>,
+    what: &str,
+    default: T,
+) -> Result<T, String> {
+    match arg {
+        None => Ok(default),
+        Some(s) => s.parse().map_err(|_| format!("{what} {s:?} is not a non-negative integer")),
+    }
 }
 
 /// Telemetry wiring resolved from argv and environment; dropping the guard
@@ -146,5 +177,31 @@ pub fn pct(part: usize, whole: usize) -> String {
         "0.00%".into()
     } else {
         format!("{:.2}%", 100.0 * part as f64 / whole as f64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<CorpusConfig, String> {
+        parse_corpus_args(args.iter().map(|a| a.to_string()), 100_000)
+    }
+
+    #[test]
+    fn corpus_args_take_defaults_values_and_skip_flags() {
+        let config = parse(&[]).unwrap();
+        assert_eq!((config.size, config.seed), (100_000, 42));
+        let config = parse(&["--baseline", "b.json", "20000", "--min-speedup=2", "7"]).unwrap();
+        assert_eq!((config.size, config.seed), (20_000, 7));
+    }
+
+    #[test]
+    fn corpus_args_reject_non_numeric_size_or_seed() {
+        let err = parse(&["20k"]).unwrap_err();
+        assert!(err.contains("corpus size \"20k\""), "{err}");
+        let err = parse(&["20000", "seven"]).unwrap_err();
+        assert!(err.contains("seed \"seven\""), "{err}");
+        assert!(parse(&["-5"]).is_err());
     }
 }

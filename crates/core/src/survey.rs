@@ -6,6 +6,7 @@
 
 use crate::classify;
 use crate::pool::payload_string;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -492,11 +493,13 @@ fn hex_serial(serial: &[u8]) -> String {
     s
 }
 
-/// Fold one corpus entry into `report` — the shared kernel of the serial
-/// and sharded survey paths.
+/// Fold one certificate into `report` — the survey kernel every entry
+/// point shares, whatever the certificate's source (owned entry, stored
+/// record, raw DER). It reads the certificate exclusively through the
+/// [`unicert_lint::LintContext`] accessors.
 ///
-/// `stages` (present iff metrics are enabled) carries the per-stage latency
-/// histograms; the stage blocks below are contiguous so consecutive
+/// `telemetry` (present iff metrics are enabled) carries the per-stage
+/// latency histograms; the stage blocks below are contiguous so consecutive
 /// timestamps partition the whole per-certificate cost. Telemetry never
 /// feeds back into `report` — the fold is byte-identical with or without it.
 ///
@@ -513,7 +516,8 @@ fn accumulate(
     report: &mut SurveyReport,
     registry: &unicert_lint::Registry,
     index: u64,
-    entry: &CorpusEntry,
+    ctx: &unicert_lint::LintContext<'_>,
+    meta: &CertMeta,
     opts: &SurveyOptions,
     telemetry: Option<&mut ShardTelemetry>,
 ) {
@@ -522,53 +526,10 @@ fn accumulate(
     unicert_telemetry::flight::begin_unit(index);
     report.entries += 1;
     // §4.1: precertificates are filtered out by the poison extension.
-    if entry.cert.tbs.is_precertificate() {
+    if ctx.is_precertificate() {
         report.precerts_filtered += 1;
         return;
     }
-    // One decode-once context shared by classification, the 95-lint run,
-    // and the field-matrix scan. A panic in any stage only poisons this
-    // certificate's context, which is dropped with the quarantined cert.
-    let ctx = unicert_lint::LintContext::new(&entry.cert);
-    accumulate_ctx(report, registry, index, &ctx, &entry.meta, opts, telemetry);
-}
-
-/// [`accumulate`] over the zero-copy [`CertView`] — the borrowed hot path.
-/// Same stages, same quarantine containment, same report bytes as the
-/// owned kernel on the same DER.
-fn accumulate_view(
-    report: &mut SurveyReport,
-    registry: &unicert_lint::Registry,
-    index: u64,
-    view: &CertView<'_>,
-    meta: &CertMeta,
-    opts: &SurveyOptions,
-    telemetry: Option<&mut ShardTelemetry>,
-) {
-    unicert_telemetry::flight::begin_unit(index);
-    report.entries += 1;
-    // §4.1: precertificates are filtered out by the poison extension.
-    if view.is_precertificate() {
-        report.precerts_filtered += 1;
-        return;
-    }
-    let ctx = unicert_lint::LintContext::from_view(view);
-    accumulate_ctx(report, registry, index, &ctx, meta, opts, telemetry);
-}
-
-/// The source-agnostic aggregation kernel: everything after the
-/// precertificate filter, reading the certificate exclusively through the
-/// [`unicert_lint::LintContext`] accessors so the owned and borrowed paths
-/// share one fold.
-fn accumulate_ctx(
-    report: &mut SurveyReport,
-    registry: &unicert_lint::Registry,
-    index: u64,
-    ctx: &unicert_lint::LintContext<'_>,
-    meta: &CertMeta,
-    opts: &SurveyOptions,
-    telemetry: Option<&mut ShardTelemetry>,
-) {
     report.total += 1;
 
     let (stages, tally) = match telemetry {
@@ -752,168 +713,24 @@ fn resolve_registry(opts: &SurveyOptions) -> &'static unicert_lint::Registry {
         .unwrap_or_else(unicert_corpus::lint_registry)
 }
 
-/// Run the survey over a corpus stream on the calling thread, linting
-/// under the profile `opts.lint` selects.
-pub fn run(entries: impl Iterator<Item = CorpusEntry>, opts: SurveyOptions) -> SurveyReport {
-    run_with(resolve_registry(&opts), entries, opts)
-}
-
-/// [`run`] with an explicit lint registry.
-///
-/// The default paths share the process-wide registry; this entry point
-/// exists for fault-injection tests that register deliberately panicking
-/// lints without contaminating the shared registry.
-pub fn run_with(
+/// Fold an owned corpus entry: its certificate is already decoded, so the
+/// context borrows it without re-parsing.
+fn accumulate_entry(
+    report: &mut SurveyReport,
     registry: &unicert_lint::Registry,
-    entries: impl Iterator<Item = CorpusEntry>,
-    opts: SurveyOptions,
-) -> SurveyReport {
-    let mut telemetry = ShardTelemetry::if_enabled(registry);
-    let _span = unicert_telemetry::span!("survey.run");
-    let mut report = SurveyReport::default();
-    for (index, entry) in entries.enumerate() {
-        accumulate(&mut report, registry, index as u64, &entry, &opts, telemetry.as_mut());
-    }
-    ShardTelemetry::flush(telemetry, registry);
-    report.profile = registry.profile_name();
-    report
+    index: u64,
+    entry: &CorpusEntry,
+    opts: &SurveyOptions,
+    telemetry: Option<&mut ShardTelemetry>,
+) {
+    let ctx = unicert_lint::LintContext::new(&entry.cert);
+    accumulate(report, registry, index, &ctx, &entry.meta, opts, telemetry);
 }
 
-/// Run the survey over a corpus stream on a sharded worker pool.
-///
-/// The stream is cut into deterministic chunks of
-/// `opts.lint.effective_shard_size()` entries; `opts.lint.effective_threads()`
-/// workers survey the chunks in parallel, and the per-chunk reports merge in
-/// chunk order. The result is **byte-identical** to [`run`] for any thread
-/// count — see DESIGN.md §7 for the invariant argument.
-///
-/// Production of the stream itself is serialized (the corpus generator owns
-/// one sequential RNG); classification + linting, the dominant cost, runs on
-/// the pool. For a pre-materialized corpus use [`run_parallel_slice`], which
-/// shards without cloning or generation handoff.
-pub fn run_parallel(
-    entries: impl Iterator<Item = CorpusEntry> + Send,
-    opts: SurveyOptions,
-) -> SurveyReport {
-    use unicert_corpus::IntoChunks;
-    let threads = opts.lint.effective_threads();
-    if threads <= 1 {
-        return run(entries, opts);
-    }
-    let registry = resolve_registry(&opts);
-    let _span = unicert_telemetry::span!("survey.run_parallel", "threads={threads}");
-    let shard_size = opts.lint.effective_shard_size();
-    let shards = crate::pool::map_ordered(entries.chunked(shard_size), threads, |chunk| {
-        let _span =
-            unicert_telemetry::span!(verbose: "survey.shard", "{}", chunk.entries.len());
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut shard = SurveyReport::default();
-        let base = chunk.index as u64 * shard_size as u64;
-        for (offset, entry) in chunk.entries.iter().enumerate() {
-            accumulate(
-                &mut shard,
-                registry,
-                base + offset as u64,
-                entry,
-                &opts,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        shard
-    });
-    let mut merged = merge_in_order(shards);
-    merged.profile = registry.profile_name();
-    merged
-}
-
-/// Run the survey over an in-memory corpus slice on a sharded worker pool.
-///
-/// Same determinism guarantee as [`run_parallel`], but shards are borrowed
-/// sub-slices (`slice.chunks()`), so there is no producer serialization at
-/// all — this is the path the throughput benchmark measures.
-pub fn run_parallel_slice(entries: &[CorpusEntry], opts: SurveyOptions) -> SurveyReport {
-    run_parallel_slice_with(resolve_registry(&opts), entries, opts)
-}
-
-/// [`run_parallel_slice`] with an explicit lint registry — the sharded
-/// counterpart of [`run_with`], for fault-injection tests.
-pub fn run_parallel_slice_with(
-    registry: &unicert_lint::Registry,
-    entries: &[CorpusEntry],
-    opts: SurveyOptions,
-) -> SurveyReport {
-    run_parallel_slice_from(registry, entries, opts, 0)
-}
-
-/// [`run_parallel_slice_with`] over a slice that starts at global stream
-/// position `base` rather than 0.
-///
-/// This is the incremental-survey building block (`unicert-store`): a
-/// persistent corpus is surveyed one store shard at a time, and each
-/// shard's entries must carry their *global* indexes so quarantine lists
-/// from resumed runs merge into exactly the one-shot list. Internal
-/// chunking still follows `opts.lint.effective_shard_size()`, so the
-/// result is byte-identical for any thread count and independent of how
-/// the caller cuts the stream into slices (the shard-merge invariant,
-/// DESIGN.md §7).
-pub fn run_parallel_slice_from(
-    registry: &unicert_lint::Registry,
-    entries: &[CorpusEntry],
-    opts: SurveyOptions,
-    base: u64,
-) -> SurveyReport {
-    let threads = opts.lint.effective_threads();
-    if threads <= 1 {
-        let _span = unicert_telemetry::span!("survey.run_parallel_slice", "threads=1");
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut report = SurveyReport::default();
-        for (index, entry) in entries.iter().enumerate() {
-            accumulate(
-                &mut report,
-                registry,
-                base + index as u64,
-                entry,
-                &opts,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        report.profile = registry.profile_name();
-        return report;
-    }
-    let _span =
-        unicert_telemetry::span!("survey.run_parallel_slice", "threads={threads}");
-    let shard_size = opts.lint.effective_shard_size();
-    let chunks = entries.chunks(shard_size).enumerate();
-    let shards = crate::pool::map_ordered(chunks, threads, |(chunk_idx, chunk)| {
-        let _span = unicert_telemetry::span!(verbose: "survey.shard", "{}", chunk.len());
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut shard = SurveyReport::default();
-        let chunk_base = base + chunk_idx as u64 * shard_size as u64;
-        for (offset, entry) in chunk.iter().enumerate() {
-            accumulate(
-                &mut shard,
-                registry,
-                chunk_base + offset as u64,
-                entry,
-                &opts,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        shard
-    });
-    let mut merged = merge_in_order(shards);
-    merged.profile = registry.profile_name();
-    merged
-}
-
-/// Fold one borrowed record into `report`: parse its DER into a
-/// [`CertView`] and run the view kernel. The parse uses the default
-/// [`ParseBudget`] — the same budget the store's segment decoder already
-/// validated every record against — so for records from a validated
-/// segment the parse cannot fail.
+/// Fold one borrowed record: parse its DER into a [`CertView`] and run the
+/// kernel. The parse uses the default [`ParseBudget`] — the same budget the
+/// store's segment decoder already validated every record against — so for
+/// records from a validated segment the parse cannot fail.
 fn accumulate_record(
     report: &mut SurveyReport,
     registry: &unicert_lint::Registry,
@@ -922,11 +739,11 @@ fn accumulate_record(
     opts: &SurveyOptions,
     telemetry: Option<&mut ShardTelemetry>,
 ) {
-    let budget = ParseBudget::default();
-    let state = budget.start();
+    let state = ParseBudget::default().start();
     match CertView::parse_der_budgeted(entry.der, &state) {
         Ok(view) => {
-            accumulate_view(report, registry, index, &view, &entry.meta, opts, telemetry);
+            let ctx = unicert_lint::LintContext::from_view(&view);
+            accumulate(report, registry, index, &ctx, &entry.meta, opts, telemetry);
         }
         Err(e) => {
             // Unreachable for records out of a validated segment (decoding
@@ -946,67 +763,8 @@ fn accumulate_record(
     }
 }
 
-/// [`run_parallel_slice_from`] over zero-copy records: each certificate is
-/// parsed into a [`CertView`] of its borrowed DER at lint time — no owned
-/// [`unicert_x509::Certificate`] tree, no per-certificate copy of the DER.
-/// Chunking, global indexing, and merge order are identical to the owned
-/// entry point, so a store-resumed survey through this path stays
-/// byte-identical to a one-shot in-memory survey of the same corpus at any
-/// thread count (the shard-merge invariant, DESIGN.md §7).
-pub fn run_parallel_records_from(
-    registry: &unicert_lint::Registry,
-    records: &[RawEntry<'_>],
-    opts: SurveyOptions,
-    base: u64,
-) -> SurveyReport {
-    let threads = opts.lint.effective_threads();
-    if threads <= 1 {
-        let _span = unicert_telemetry::span!("survey.run_parallel_records", "threads=1");
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut report = SurveyReport::default();
-        for (index, entry) in records.iter().enumerate() {
-            accumulate_record(
-                &mut report,
-                registry,
-                base + index as u64,
-                entry,
-                &opts,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        report.profile = registry.profile_name();
-        return report;
-    }
-    let _span =
-        unicert_telemetry::span!("survey.run_parallel_records", "threads={threads}");
-    let shard_size = opts.lint.effective_shard_size();
-    let chunks = records.chunks(shard_size).enumerate();
-    let shards = crate::pool::map_ordered(chunks, threads, |(chunk_idx, chunk)| {
-        let _span = unicert_telemetry::span!(verbose: "survey.shard", "{}", chunk.len());
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut shard = SurveyReport::default();
-        let chunk_base = base + chunk_idx as u64 * shard_size as u64;
-        for (offset, entry) in chunk.iter().enumerate() {
-            accumulate_record(
-                &mut shard,
-                registry,
-                chunk_base + offset as u64,
-                entry,
-                &opts,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        shard
-    });
-    let mut merged = merge_in_order(shards);
-    merged.profile = registry.profile_name();
-    merged
-}
-
-/// Fold one raw DER input into `report` — the kernel of the hostile-input
-/// survey paths [`run_bytes`] / [`run_parallel_bytes`].
+/// Fold one raw DER input — the kernel of the hostile-input survey paths
+/// [`run_bytes`] / [`run_parallel_bytes`].
 ///
 /// Parsing (plus metadata inference) runs under the certificate's
 /// [`ParseBudget`] and inside [`catch_unwind`]; the input lands in exactly
@@ -1059,9 +817,196 @@ fn accumulate_bytes(
             report.entries += 1;
         }
         Ok(Ok((view, meta))) => {
-            accumulate_view(report, registry, index, &view, &meta, opts, telemetry);
+            let ctx = unicert_lint::LintContext::from_view(&view);
+            accumulate(report, registry, index, &ctx, &meta, opts, telemetry);
         }
     }
+}
+
+/// [`accumulate_bytes`] with its parse budget bound: the raw-DER kernel.
+fn bytes_kernel(budget: &ParseBudget) -> impl Kernel<Vec<u8>> + '_ {
+    move |report, registry, index, der, opts, telemetry| {
+        accumulate_bytes(report, registry, index, der, opts, budget, telemetry)
+    }
+}
+
+/// One survey kernel: fold the item at global stream position `index`.
+/// The adapters above ([`accumulate_entry`], [`accumulate_record`],
+/// [`accumulate_bytes`]) all reach [`accumulate`].
+trait Kernel<T: ?Sized>:
+    Fn(
+        &mut SurveyReport,
+        &unicert_lint::Registry,
+        u64,
+        &T,
+        &SurveyOptions,
+        Option<&mut ShardTelemetry>,
+    ) + Sync
+{
+}
+
+impl<T: ?Sized, F> Kernel<T> for F where
+    F: Fn(
+            &mut SurveyReport,
+            &unicert_lint::Registry,
+            u64,
+            &T,
+            &SurveyOptions,
+            Option<&mut ShardTelemetry>,
+        ) + Sync
+{
+}
+
+/// The survey driver every entry point runs through: fold `items` with
+/// `kernel`, numbering them from the global stream position `base`, and
+/// tag the report with the registry's profile.
+///
+/// With `threads <= 1` the whole stream is one shard folded on the calling
+/// thread. Otherwise the stream is cut into deterministic chunks of
+/// `opts.lint.effective_shard_size()` items, `threads` workers fold the
+/// chunks in parallel, and the per-chunk reports merge in chunk order. The
+/// result is **byte-identical** for any thread count and independent of
+/// how a caller cuts the stream across calls (the shard-merge invariant,
+/// DESIGN.md §7).
+fn drive<T, I>(
+    registry: &unicert_lint::Registry,
+    opts: &SurveyOptions,
+    span: &'static str,
+    threads: usize,
+    base: u64,
+    items: I,
+    kernel: impl Kernel<T>,
+) -> SurveyReport
+where
+    T: ?Sized,
+    I: Iterator + Send,
+    I::Item: Borrow<T> + Send,
+{
+    let _span = unicert_telemetry::span!(span, "threads={threads}");
+    let mut report = if threads <= 1 {
+        fold_shard(registry, opts, base, items, &kernel)
+    } else {
+        let shard_size = opts.lint.effective_shard_size();
+        let shards = unicert_corpus::Chunks::new(items, shard_size);
+        let reports = crate::pool::map_ordered(shards, threads, |shard| {
+            let _span =
+                unicert_telemetry::span!(verbose: "survey.shard", "{}", shard.entries.len());
+            let shard_base = base + shard.index as u64 * shard_size as u64;
+            fold_shard(registry, opts, shard_base, shard.entries.into_iter(), &kernel)
+        });
+        merge_in_order(reports)
+    };
+    report.profile = registry.profile_name();
+    report
+}
+
+/// Fold one shard on the calling thread, numbering items from `base`. The
+/// shard owns one [`ShardTelemetry`], flushed when the shard ends.
+fn fold_shard<T: ?Sized>(
+    registry: &unicert_lint::Registry,
+    opts: &SurveyOptions,
+    base: u64,
+    items: impl Iterator<Item = impl Borrow<T>>,
+    kernel: &impl Kernel<T>,
+) -> SurveyReport {
+    let mut telemetry = ShardTelemetry::if_enabled(registry);
+    let mut report = SurveyReport::default();
+    for (offset, item) in items.enumerate() {
+        let index = base + offset as u64;
+        kernel(&mut report, registry, index, item.borrow(), opts, telemetry.as_mut());
+    }
+    ShardTelemetry::flush(telemetry, registry);
+    report
+}
+
+/// Run the survey over a corpus stream on the calling thread, linting
+/// under the profile `opts.lint` selects.
+pub fn run(entries: impl Iterator<Item = CorpusEntry> + Send, opts: SurveyOptions) -> SurveyReport {
+    let registry = resolve_registry(&opts);
+    drive(registry, &opts, "survey.run", 1, 0, entries, accumulate_entry)
+}
+
+/// Run the survey over a corpus stream on a sharded worker pool.
+///
+/// `opts.lint.effective_threads()` workers survey chunks of
+/// `opts.lint.effective_shard_size()` entries in parallel, and the
+/// per-chunk reports merge in chunk order. The result is
+/// **byte-identical** to [`run`] for any thread count — see DESIGN.md §7
+/// for the invariant argument.
+///
+/// Production of the stream itself is serialized (the corpus generator owns
+/// one sequential RNG); classification + linting, the dominant cost, runs on
+/// the pool. For a pre-materialized corpus use [`run_parallel_slice`], which
+/// shards without generation handoff.
+pub fn run_parallel(
+    entries: impl Iterator<Item = CorpusEntry> + Send,
+    opts: SurveyOptions,
+) -> SurveyReport {
+    let registry = resolve_registry(&opts);
+    let threads = opts.lint.effective_threads();
+    drive(registry, &opts, "survey.run_parallel", threads, 0, entries, accumulate_entry)
+}
+
+/// Run the survey over an in-memory corpus slice on a sharded worker pool.
+///
+/// Same determinism guarantee as [`run_parallel`], with no producer
+/// serialization at all — this is the path the throughput benchmark
+/// measures.
+pub fn run_parallel_slice(entries: &[CorpusEntry], opts: SurveyOptions) -> SurveyReport {
+    run_parallel_slice_with(resolve_registry(&opts), entries, opts)
+}
+
+/// [`run_parallel_slice`] with an explicit lint registry.
+///
+/// The default paths share the process-wide registry; this entry point
+/// exists for fault-injection tests that register deliberately panicking
+/// lints without contaminating the shared registry.
+pub fn run_parallel_slice_with(
+    registry: &unicert_lint::Registry,
+    entries: &[CorpusEntry],
+    opts: SurveyOptions,
+) -> SurveyReport {
+    run_parallel_slice_from(registry, entries, opts, 0)
+}
+
+/// [`run_parallel_slice_with`] over a slice that starts at global stream
+/// position `base` rather than 0.
+///
+/// This is the incremental-survey building block (`unicert-store`): a
+/// persistent corpus is surveyed one store shard at a time, and each
+/// shard's entries must carry their *global* indexes so quarantine lists
+/// from resumed runs merge into exactly the one-shot list. Internal
+/// chunking still follows `opts.lint.effective_shard_size()`, so the
+/// result is byte-identical for any thread count and independent of how
+/// the caller cuts the stream into slices (the shard-merge invariant,
+/// DESIGN.md §7).
+pub fn run_parallel_slice_from(
+    registry: &unicert_lint::Registry,
+    entries: &[CorpusEntry],
+    opts: SurveyOptions,
+    base: u64,
+) -> SurveyReport {
+    let threads = opts.lint.effective_threads();
+    let span = "survey.run_parallel_slice";
+    drive(registry, &opts, span, threads, base, entries.iter(), accumulate_entry)
+}
+
+/// [`run_parallel_slice_from`] over zero-copy records: each certificate is
+/// parsed into a [`CertView`] of its borrowed DER at lint time — no owned
+/// [`unicert_x509::Certificate`] tree, no per-certificate copy of the DER.
+/// Chunking, global indexing, and merge order are identical to the owned
+/// entry point, so a store-resumed survey through this path stays
+/// byte-identical to a one-shot in-memory survey of the same corpus at any
+/// thread count (the shard-merge invariant, DESIGN.md §7).
+pub fn run_parallel_records_from(
+    registry: &unicert_lint::Registry,
+    records: &[RawEntry<'_>],
+    opts: SurveyOptions,
+    base: u64,
+) -> SurveyReport {
+    let threads = opts.lint.effective_threads();
+    let span = "survey.run_parallel_records";
+    drive(registry, &opts, span, threads, base, records.iter(), accumulate_record)
 }
 
 /// Run the survey over raw DER inputs on the calling thread.
@@ -1074,23 +1019,7 @@ fn accumulate_bytes(
 /// and a `#<index>` cert id.
 pub fn run_bytes(ders: &[Vec<u8>], opts: SurveyOptions, budget: &ParseBudget) -> SurveyReport {
     let registry = resolve_registry(&opts);
-    let mut telemetry = ShardTelemetry::if_enabled(registry);
-    let _span = unicert_telemetry::span!("survey.run_bytes");
-    let mut report = SurveyReport::default();
-    for (index, der) in ders.iter().enumerate() {
-        accumulate_bytes(
-            &mut report,
-            registry,
-            index as u64,
-            der,
-            &opts,
-            budget,
-            telemetry.as_mut(),
-        );
-    }
-    ShardTelemetry::flush(telemetry, registry);
-    report.profile = registry.profile_name();
-    report
+    drive(registry, &opts, "survey.run_bytes", 1, 0, ders.iter(), bytes_kernel(budget))
 }
 
 /// Sharded [`run_bytes`] — byte-identical to the serial pass (including
@@ -1103,34 +1032,8 @@ pub fn run_parallel_bytes(
 ) -> SurveyReport {
     let registry = resolve_registry(&opts);
     let threads = opts.lint.effective_threads();
-    if threads <= 1 {
-        return run_bytes(ders, opts, budget);
-    }
-    let _span = unicert_telemetry::span!("survey.run_parallel_bytes", "threads={threads}");
-    let shard_size = opts.lint.effective_shard_size();
-    let chunks = ders.chunks(shard_size).enumerate();
-    let shards = crate::pool::map_ordered(chunks, threads, |(chunk_idx, chunk)| {
-        let _span = unicert_telemetry::span!(verbose: "survey.shard", "{}", chunk.len());
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut shard = SurveyReport::default();
-        let base = chunk_idx as u64 * shard_size as u64;
-        for (offset, der) in chunk.iter().enumerate() {
-            accumulate_bytes(
-                &mut shard,
-                registry,
-                base + offset as u64,
-                der,
-                &opts,
-                budget,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        shard
-    });
-    let mut merged = merge_in_order(shards);
-    merged.profile = registry.profile_name();
-    merged
+    let span = "survey.run_parallel_bytes";
+    drive(registry, &opts, span, threads, 0, ders.iter(), bytes_kernel(budget))
 }
 
 /// Fold per-shard reports, already sorted in shard order, into one.
@@ -1379,7 +1282,7 @@ mod tests {
             .cloned()
             .collect();
         let mut expected =
-            run_with(unicert_corpus::lint_registry(), spared.into_iter(), opts(1));
+            run_parallel_slice_with(unicert_corpus::lint_registry(), &spared, opts(1));
         expected.entries = entries.len();
         expected.total = entries.len();
         expected.quarantine = affected

@@ -9,17 +9,19 @@
 
 use crate::generator::{CorpusConfig, CorpusEntry, CorpusGenerator};
 
-/// One shard of a corpus stream: `index` is its 0-based position in the
-/// stream, `entries` the consecutive run of corpus entries it covers.
+/// One shard of a stream: `index` is its 0-based position in the stream,
+/// `entries` the consecutive run of items (corpus entries by default) it
+/// covers.
 #[derive(Debug, Clone)]
-pub struct CorpusChunk {
+pub struct CorpusChunk<T = CorpusEntry> {
     /// 0-based position of this chunk in the stream.
     pub index: usize,
     /// The chunk's entries, in stream order.
-    pub entries: Vec<CorpusEntry>,
+    pub entries: Vec<T>,
 }
 
-/// Iterator adapter grouping a corpus stream into [`CorpusChunk`]s.
+/// Iterator adapter grouping a stream — a corpus, or any other survey
+/// input — into [`CorpusChunk`]s.
 ///
 /// Every chunk except possibly the last holds exactly `chunk_size` entries.
 #[derive(Debug)]
@@ -29,17 +31,17 @@ pub struct Chunks<I> {
     next_index: usize,
 }
 
-impl<I: Iterator<Item = CorpusEntry>> Chunks<I> {
+impl<I: Iterator> Chunks<I> {
     /// Group `inner` into chunks of `chunk_size` (clamped to at least 1).
     pub fn new(inner: I, chunk_size: usize) -> Chunks<I> {
         Chunks { inner, chunk_size: chunk_size.max(1), next_index: 0 }
     }
 }
 
-impl<I: Iterator<Item = CorpusEntry>> Iterator for Chunks<I> {
-    type Item = CorpusChunk;
+impl<I: Iterator> Iterator for Chunks<I> {
+    type Item = CorpusChunk<I::Item>;
 
-    fn next(&mut self) -> Option<CorpusChunk> {
+    fn next(&mut self) -> Option<CorpusChunk<I::Item>> {
         let mut entries = Vec::with_capacity(self.chunk_size);
         for entry in self.inner.by_ref() {
             entries.push(entry);

@@ -447,6 +447,11 @@ impl<'c> LintContext<'c> {
         self.extension_position(oid).is_some()
     }
 
+    /// Is this a CT precertificate (carries the poison extension)?
+    pub fn is_precertificate(&self) -> bool {
+        self.has_extension(&known::ct_poison())
+    }
+
     /// The criticality flag of the first extension carrying `oid`, if
     /// present.
     pub fn extension_critical(&self, oid: &Oid) -> Option<bool> {

@@ -463,8 +463,8 @@ struct LintInstrument {
     latency: std::sync::Arc<unicert_telemetry::Histogram>,
 }
 
-/// All telemetry handles [`Registry::run`] records into, resolved once on
-/// the first instrumented run (see DESIGN.md §8 for the metric names).
+/// All telemetry handles the lint loop records into, resolved once on the
+/// first instrumented run (see DESIGN.md §8 for the metric names).
 struct Instruments {
     /// Parallel to `Registry::lints`.
     per_lint: Vec<LintInstrument>,
@@ -498,7 +498,7 @@ impl Instruments {
 /// Shard-local accumulator for the `lint.runs` / `lint.findings` /
 /// `lint.certs` counters (DESIGN.md §8).
 ///
-/// [`Registry::run_tallied`] adds into plain locals here instead of the
+/// [`Registry::run_tallied_ctx`] adds into plain locals here instead of the
 /// global atomics — ~97 relaxed RMWs per certificate collapse into one
 /// [`Registry::flush_tally`] per shard, which is what keeps the
 /// metrics-on survey inside the §8 overhead budget. Totals are exact as
@@ -514,14 +514,80 @@ pub struct RunTally {
 }
 
 impl RunTally {
-    /// Will the next [`Registry::run_tallied`] certificate be latency-timed?
+    /// Will the next [`Registry::run_tallied_ctx`] certificate be
+    /// latency-timed?
     ///
     /// Exposed so callers can gate their own per-certificate timing (the
     /// survey's stage histograms) on the same 1-in-`metrics_sample()`
     /// sequence — one sampling decision for the whole hot loop.
     pub fn will_time_next(&self) -> bool {
-        let sample = unicert_telemetry::metrics_sample();
-        sample <= 1 || self.certs % sample == 0
+        sampled(self.certs)
+    }
+}
+
+/// Is the certificate with this sequence number latency-timed? One in
+/// `metrics_sample()` is.
+fn sampled(sequence: u64) -> bool {
+    let sample = unicert_telemetry::metrics_sample();
+    sample <= 1 || sequence % sample == 0
+}
+
+fn verbose_tracing() -> bool {
+    unicert_telemetry::trace::trace_level() >= unicert_telemetry::TraceLevel::Verbose
+}
+
+/// What the lint loop reports to. Three observers exist: `()` (metrics
+/// off), the global [`Instruments`] (direct runs, metrics on) and a
+/// [`RunTally`] (the survey).
+trait Observer {
+    /// Open one certificate; returns whether its lints are latency-timed
+    /// and whether each is traced as a verbose span.
+    fn begin_cert(&mut self) -> (bool, bool);
+    /// One executed lint: its registry index, and its severity if it fired.
+    fn ran(&mut self, index: usize, fired: Option<Severity>);
+}
+
+impl Observer for () {
+    fn begin_cert(&mut self) -> (bool, bool) {
+        (false, false)
+    }
+
+    fn ran(&mut self, _index: usize, _fired: Option<Severity>) {}
+}
+
+impl Observer for &Instruments {
+    fn begin_cert(&mut self) -> (bool, bool) {
+        (sampled(self.certs.inc_fetch()), verbose_tracing())
+    }
+
+    fn ran(&mut self, index: usize, fired: Option<Severity>) {
+        if let Some(instrument) = self.per_lint.get(index) {
+            instrument.runs.inc();
+        }
+        match fired {
+            Some(Severity::Error) => self.errors.inc(),
+            Some(Severity::Warning) => self.warnings.inc(),
+            None => {}
+        }
+    }
+}
+
+impl Observer for RunTally {
+    fn begin_cert(&mut self) -> (bool, bool) {
+        let timed = self.will_time_next();
+        self.certs += 1;
+        (timed, verbose_tracing())
+    }
+
+    fn ran(&mut self, index: usize, fired: Option<Severity>) {
+        if let Some(count) = self.counts.get_mut(index) {
+            *count += 1;
+        }
+        match fired {
+            Some(Severity::Error) => self.errors += 1,
+            Some(Severity::Warning) => self.warnings += 1,
+            None => {}
+        }
     }
 }
 
@@ -617,12 +683,11 @@ impl Registry {
 
     /// Run every applicable lint against a certificate.
     ///
-    /// With metrics enabled (`unicert_telemetry::metrics_enabled`) this
-    /// dispatches to the instrumented twin, which records exactly one
-    /// `lint.runs` observation per enabled lint per certificate plus
-    /// per-severity finding counters, and — on a sampled subset of
-    /// certificates (`UNICERT_METRICS_SAMPLE`, default 1 in 16) — a
-    /// per-lint latency histogram. The findings are identical either way:
+    /// With metrics enabled (`unicert_telemetry::metrics_enabled`) the run
+    /// records exactly one `lint.runs` observation per enabled lint per
+    /// certificate plus per-severity finding counters, and — on a sampled
+    /// subset of certificates (`UNICERT_METRICS_SAMPLE`, default 1 in 16) —
+    /// a per-lint latency histogram. The findings are identical either way:
     /// telemetry never feeds back into the report.
     pub fn run(&self, cert: &Certificate, opts: RunOptions) -> CertReport {
         if opts.evidence {
@@ -638,90 +703,74 @@ impl Registry {
     /// shares one decode cache.
     pub fn run_ctx(&self, ctx: &LintContext<'_>, opts: RunOptions) -> CertReport {
         if unicert_telemetry::metrics_enabled() {
-            return self.run_instrumented(ctx, opts);
+            return self.run_observed(ctx, opts, &mut self.instruments());
         }
-        let mut report = CertReport::default();
-        let issued = ctx.validity().not_before;
-        let evidence_on = ctx.evidence_enabled();
-        let flight = unicert_telemetry::flight::flight_enabled();
-        for lint in &self.lints {
-            if opts.enforce_effective_dates && issued < lint.effective_date() {
-                continue;
-            }
-            if flight {
-                unicert_telemetry::flight::set_context(lint.name);
-            }
-            if evidence_on {
-                ctx.begin_check();
-            }
-            if (lint.check)(ctx) == LintStatus::Violation {
-                if flight {
-                    unicert_telemetry::flight::record("violation", lint.name, 0);
-                }
-                report.findings.push(Finding {
-                    lint: lint.name,
-                    severity: lint.severity,
-                    nc_type: lint.nc_type,
-                    new_lint: lint.new_lint,
-                    evidence: if evidence_on {
-                        ctx.drain_evidence(lint.citation)
-                    } else {
-                        Vec::new()
-                    },
-                });
-            }
-        }
-        report
+        self.run_observed(ctx, opts, &mut ())
+    }
+
+    /// [`Registry::run_ctx`] for tight survey loops: identical findings and
+    /// metric semantics, but the run / finding / cert counters go into
+    /// `tally`'s plain locals instead of the global atomics; the caller
+    /// owns flushing them with [`Registry::flush_tally`]. Latency sampling
+    /// uses the tally's own certificate sequence, so each shard times one
+    /// certificate in `metrics_sample()` exactly as the direct path does.
+    pub fn run_tallied_ctx(
+        &self,
+        ctx: &LintContext<'_>,
+        opts: RunOptions,
+        tally: &mut RunTally,
+    ) -> CertReport {
+        self.run_observed(ctx, opts, tally)
     }
 
     fn instruments(&self) -> &Instruments {
         self.instruments.get_or_init(|| Instruments::resolve(&self.lints))
     }
 
-    /// The metrics-recording twin of the `run` loop.
+    /// The lint loop — the one place a certificate meets the catalog.
     ///
-    /// Latency uses consecutive timestamps — one clock read per executed
-    /// lint, the delta between neighbours attributed to the lint that just
-    /// ran (gating checks are folded in; they are a comparison each). Full
-    /// per-lint timing runs on one certificate in `metrics_sample()`; the
-    /// run/severity counters are exhaustive on every certificate.
-    fn run_instrumented(&self, ctx: &LintContext<'_>, opts: RunOptions) -> CertReport {
+    /// Timing and tracing are decided once per certificate by the
+    /// observer. Latency uses consecutive timestamps: one clock read per
+    /// executed lint, the delta between neighbours attributed to the lint
+    /// that just ran (gating checks are folded in; they are a comparison
+    /// each). The observer is monomorphized, so the metrics-off
+    /// instantiation carries no clock read, span guard or counter bump.
+    fn run_observed<O: Observer>(
+        &self,
+        ctx: &LintContext<'_>,
+        opts: RunOptions,
+        observer: &mut O,
+    ) -> CertReport {
         use std::time::Instant;
-        let instruments = self.instruments();
-        let sequence = instruments.certs.inc_fetch();
-        let sample = unicert_telemetry::metrics_sample();
-        let timed = sample <= 1 || sequence % sample == 0;
-
+        let (timed, verbose) = observer.begin_cert();
+        let instruments = timed.then(|| self.instruments());
+        let mut previous = timed.then(Instant::now);
         let mut report = CertReport::default();
         let issued = ctx.validity().not_before;
         let evidence_on = ctx.evidence_enabled();
         let flight = unicert_telemetry::flight::flight_enabled();
-        let mut previous = timed.then(Instant::now);
-        for (lint, instrument) in self.lints.iter().zip(&instruments.per_lint) {
+        for (index, lint) in self.lints.iter().enumerate() {
             if opts.enforce_effective_dates && issued < lint.effective_date() {
                 continue;
             }
-            let _span = unicert_telemetry::span!(verbose: "lint", "{}", lint.name);
+            let _span = verbose.then(|| unicert_telemetry::span!(verbose: "lint", "{}", lint.name));
             if flight {
                 unicert_telemetry::flight::set_context(lint.name);
             }
             if evidence_on {
                 ctx.begin_check();
             }
-            let status = (lint.check)(ctx);
-            instrument.runs.inc();
-            if let Some(before) = previous {
+            let fired = (lint.check)(ctx) == LintStatus::Violation;
+            if let (Some(instruments), Some(before)) = (instruments, previous.as_mut()) {
                 let now = Instant::now(); // analysis:allow(clock) per-lint latency feeds telemetry histograms only, never report bytes
-                instrument
-                    .latency
-                    .record(u64::try_from(now.duration_since(before).as_nanos()).unwrap_or(u64::MAX));
-                previous = Some(now);
-            }
-            if status == LintStatus::Violation {
-                match lint.severity {
-                    Severity::Error => instruments.errors.inc(),
-                    Severity::Warning => instruments.warnings.inc(),
+                if let Some(instrument) = instruments.per_lint.get(index) {
+                    let nanos = now.duration_since(*before).as_nanos();
+                    instrument.latency.record(u64::try_from(nanos).unwrap_or(u64::MAX));
                 }
+                *before = now;
+            }
+            observer.ran(index, fired.then_some(lint.severity));
+            if fired {
                 if flight {
                     unicert_telemetry::flight::record("violation", lint.name, 0);
                 }
@@ -744,152 +793,6 @@ impl Registry {
     /// Fresh zeroed [`RunTally`] sized to this registry.
     pub fn tally(&self) -> RunTally {
         RunTally { counts: vec![0; self.lints.len()], errors: 0, warnings: 0, certs: 0 }
-    }
-
-    /// The batching twin of [`Registry::run`] for tight survey loops.
-    ///
-    /// Identical findings and identical metric semantics, but the run /
-    /// finding / cert counters go into `tally`'s plain locals instead of
-    /// the global atomics; the caller owns flushing them with
-    /// [`Registry::flush_tally`]. Latency sampling uses the tally's own
-    /// certificate sequence, so each shard times one certificate in
-    /// `metrics_sample()` exactly as the unbatched path does.
-    pub fn run_tallied(
-        &self,
-        cert: &Certificate,
-        opts: RunOptions,
-        tally: &mut RunTally,
-    ) -> CertReport {
-        if opts.evidence {
-            return self.run_tallied_ctx(&LintContext::with_evidence(cert), opts, tally);
-        }
-        self.run_tallied_ctx(&LintContext::new(cert), opts, tally)
-    }
-
-    /// [`Registry::run_tallied`] against a caller-built [`LintContext`] —
-    /// the survey hot loop's entry point.
-    pub fn run_tallied_ctx(
-        &self,
-        ctx: &LintContext<'_>,
-        opts: RunOptions,
-        tally: &mut RunTally,
-    ) -> CertReport {
-        let timed = tally.will_time_next();
-        tally.certs += 1;
-        // Hoisted out of the per-lint loop: one trace-level load per cert
-        // instead of 95.
-        let verbose =
-            unicert_telemetry::trace::trace_level() >= unicert_telemetry::TraceLevel::Verbose;
-        if timed || verbose {
-            return self.run_tallied_timed(ctx, opts, tally, timed, verbose);
-        }
-
-        // Fast path for the 15-in-16 untimed certificates: no clocks, no
-        // span guards — just local count bumps next to the check calls.
-        let mut report = CertReport::default();
-        let issued = ctx.validity().not_before;
-        let evidence_on = ctx.evidence_enabled();
-        let flight = unicert_telemetry::flight::flight_enabled();
-        for (lint, count) in self.lints.iter().zip(&mut tally.counts) {
-            if opts.enforce_effective_dates && issued < lint.effective_date() {
-                continue;
-            }
-            if flight {
-                unicert_telemetry::flight::set_context(lint.name);
-            }
-            if evidence_on {
-                ctx.begin_check();
-            }
-            let status = (lint.check)(ctx);
-            *count += 1;
-            if status == LintStatus::Violation {
-                match lint.severity {
-                    Severity::Error => tally.errors += 1,
-                    Severity::Warning => tally.warnings += 1,
-                }
-                if flight {
-                    unicert_telemetry::flight::record("violation", lint.name, 0);
-                }
-                report.findings.push(Finding {
-                    lint: lint.name,
-                    severity: lint.severity,
-                    nc_type: lint.nc_type,
-                    new_lint: lint.new_lint,
-                    evidence: if evidence_on {
-                        ctx.drain_evidence(lint.citation)
-                    } else {
-                        Vec::new()
-                    },
-                });
-            }
-        }
-        report
-    }
-
-    /// The sampled / verbose-traced arm of [`Registry::run_tallied`].
-    fn run_tallied_timed(
-        &self,
-        ctx: &LintContext<'_>,
-        opts: RunOptions,
-        tally: &mut RunTally,
-        timed: bool,
-        verbose: bool,
-    ) -> CertReport {
-        use std::time::Instant;
-        let instruments = self.instruments();
-        let mut report = CertReport::default();
-        let issued = ctx.validity().not_before;
-        let evidence_on = ctx.evidence_enabled();
-        let flight = unicert_telemetry::flight::flight_enabled();
-        let mut previous = timed.then(Instant::now);
-        for ((lint, instrument), count) in
-            self.lints.iter().zip(&instruments.per_lint).zip(&mut tally.counts)
-        {
-            if opts.enforce_effective_dates && issued < lint.effective_date() {
-                continue;
-            }
-            let _span = if verbose {
-                unicert_telemetry::span!(verbose: "lint", "{}", lint.name)
-            } else {
-                unicert_telemetry::SpanGuard::inert()
-            };
-            if flight {
-                unicert_telemetry::flight::set_context(lint.name);
-            }
-            if evidence_on {
-                ctx.begin_check();
-            }
-            let status = (lint.check)(ctx);
-            *count += 1;
-            if let Some(before) = previous {
-                let now = Instant::now(); // analysis:allow(clock) per-lint latency feeds telemetry histograms only, never report bytes
-                instrument
-                    .latency
-                    .record(u64::try_from(now.duration_since(before).as_nanos()).unwrap_or(u64::MAX));
-                previous = Some(now);
-            }
-            if status == LintStatus::Violation {
-                match lint.severity {
-                    Severity::Error => tally.errors += 1,
-                    Severity::Warning => tally.warnings += 1,
-                }
-                if flight {
-                    unicert_telemetry::flight::record("violation", lint.name, 0);
-                }
-                report.findings.push(Finding {
-                    lint: lint.name,
-                    severity: lint.severity,
-                    nc_type: lint.nc_type,
-                    new_lint: lint.new_lint,
-                    evidence: if evidence_on {
-                        ctx.drain_evidence(lint.citation)
-                    } else {
-                        Vec::new()
-                    },
-                });
-            }
-        }
-        report
     }
 
     /// Drain `tally` into the global metrics registry and reset it.

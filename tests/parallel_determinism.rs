@@ -4,7 +4,10 @@
 //! count. See DESIGN.md §7 for why the shard-merge construction makes
 //! this hold by design rather than by accident.
 
-use unicert::corpus::{CorpusConfig, CorpusEntry, CorpusGenerator};
+use unicert::asn1::ParseBudget;
+use unicert::corpus::{
+    lint_registry, CertMeta, CorpusConfig, CorpusEntry, CorpusGenerator, RawEntry,
+};
 use unicert::lint::RunOptions;
 use unicert::survey::{self, SurveyOptions, SurveyReport};
 
@@ -100,4 +103,75 @@ fn single_thread_parallel_is_the_serial_path() {
         SurveyOptions::default(),
     );
     assert_eq!(report, serial);
+}
+
+/// Every public survey entry point folds the same corpus into the same
+/// report: the owned stream and slice paths at any thread count, a slice
+/// cut off a shard boundary and merged back, and the zero-copy records
+/// path. The raw-DER paths infer their metadata from the certificate, so
+/// they are held to the entry path over content-inferred metadata, with
+/// `parse_outcomes` (which only they count) cleared.
+#[test]
+fn every_entry_point_produces_one_report() {
+    let corpus: Vec<CorpusEntry> = CorpusGenerator::new(CorpusConfig {
+        size: 1_500,
+        seed: 4242,
+        precert_fraction: 0.3,
+        latent_defects: true,
+    })
+    .collect();
+    let sharded = |threads| SurveyOptions {
+        lint: RunOptions { threads: Some(threads), shard_size: 64, ..RunOptions::default() },
+        field_matrix: true,
+    };
+    let registry = lint_registry();
+    let cut = 10 * 64 + 23;
+    let records: Vec<RawEntry<'_>> =
+        corpus.iter().map(|e| RawEntry { der: &e.cert.raw, meta: e.meta.clone() }).collect();
+
+    let expected = survey::run(corpus.iter().cloned(), sharded(1));
+    assert!(expected.precerts_filtered > 0 && expected.noncompliant > 0, "{expected:?}");
+    let mut cases: Vec<(String, SurveyReport)> = vec![
+        ("run_parallel t4".into(), survey::run_parallel(corpus.iter().cloned(), sharded(4))),
+        ("run_parallel_slice_from split".into(), {
+            let mut head = survey::run_parallel_slice_from(registry, &corpus[..cut], sharded(2), 0);
+            let tail =
+                survey::run_parallel_slice_from(registry, &corpus[cut..], sharded(2), cut as u64);
+            head.merge(tail);
+            head
+        }),
+    ];
+    for threads in [1, 2, 4] {
+        cases.push((
+            format!("run_parallel_slice t{threads}"),
+            survey::run_parallel_slice(&corpus, sharded(threads)),
+        ));
+        cases.push((
+            format!("run_parallel_records_from t{threads}"),
+            survey::run_parallel_records_from(registry, &records, sharded(threads), 0),
+        ));
+    }
+    for (name, report) in &cases {
+        assert_eq!(report, &expected, "{name} diverged from run");
+    }
+
+    let inferred: Vec<CorpusEntry> = corpus
+        .iter()
+        .map(|e| CorpusEntry { cert: e.cert.clone(), meta: CertMeta::inferred(&e.cert) })
+        .collect();
+    let expected = survey::run_parallel_slice(&inferred, sharded(1));
+    let ders: Vec<Vec<u8>> = corpus.iter().map(|e| e.cert.raw.clone()).collect();
+    let budget = ParseBudget::default();
+    let mut cases = vec![("run_bytes".to_string(), survey::run_bytes(&ders, sharded(1), &budget))];
+    for threads in [1, 2, 4] {
+        cases.push((
+            format!("run_parallel_bytes t{threads}"),
+            survey::run_parallel_bytes(&ders, sharded(threads), &budget),
+        ));
+    }
+    for (name, mut report) in cases {
+        assert_eq!(report.parse_outcomes.get("ok"), Some(&corpus.len()), "{name}");
+        report.parse_outcomes.clear();
+        assert_eq!(report, expected, "{name} diverged from the entry path");
+    }
 }

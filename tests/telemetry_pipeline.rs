@@ -9,7 +9,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use unicert::corpus::{lint_registry, CorpusConfig, CorpusEntry, CorpusGenerator};
-use unicert::lint::RunOptions;
+use unicert::lint::{Finding, LintContext, RunOptions, Severity};
 use unicert::survey::{self, SurveyOptions};
 use unicert::telemetry::{self, trace, MemorySink, Snapshot, TraceLevel};
 
@@ -167,4 +167,95 @@ fn full_telemetry_is_byte_identical() {
         "verbose tracing should emit per-lint spans, got {}",
         sink.len()
     );
+}
+
+/// Direct `Registry::run` with metrics on — no survey, no tally — records
+/// straight into the global counters: one `lint.runs{lint}` per enabled
+/// lint per certificate (effective-date gating decides "enabled"),
+/// `lint.certs` equal to the certificates linted, `lint.findings{severity}`
+/// equal to the severities of the returned findings, and at sample=1 one
+/// `lint.latency_ns{lint}` per executed lint.
+#[test]
+fn direct_run_records_exact_global_counters() {
+    let _guard = telemetry_lock();
+    let corpus = corpus(500, 15);
+    let registry = lint_registry();
+    let opts = RunOptions::default();
+
+    let saved_sample = telemetry::metrics_sample();
+    telemetry::set_metrics_sample(1);
+    telemetry::set_metrics_enabled(true);
+    let before = telemetry::global().snapshot();
+    let findings: Vec<Finding> =
+        corpus.iter().flat_map(|e| registry.run(&e.cert, opts).findings).collect();
+    let after = telemetry::global().snapshot();
+    telemetry::set_metrics_enabled(false);
+    telemetry::set_metrics_sample(saved_sample);
+
+    assert_eq!(counter_delta(&before, &after, "lint.certs", ""), 500);
+    let mut gated_somewhere = false;
+    for lint in registry.lints() {
+        let enabled = corpus
+            .iter()
+            .filter(|e| e.cert.tbs.validity.not_before >= lint.effective_date())
+            .count() as u64;
+        gated_somewhere |= enabled < 500;
+        let runs = counter_delta(&before, &after, "lint.runs", lint.name);
+        assert_eq!(runs, enabled, "{}", lint.name);
+        assert_eq!(
+            histogram_count_delta(&before, &after, "lint.latency_ns", lint.name),
+            enabled,
+            "{}",
+            lint.name
+        );
+    }
+    assert!(gated_somewhere, "the corpus must exercise effective-date gating");
+    let count = |severity| findings.iter().filter(|f| f.severity == severity).count() as u64;
+    assert!(!findings.is_empty(), "the corpus must produce findings");
+    let findings_delta = |label| counter_delta(&before, &after, "lint.findings", label);
+    assert_eq!(findings_delta("error"), count(Severity::Error));
+    assert_eq!(findings_delta("warning"), count(Severity::Warning));
+}
+
+/// The findings a certificate gets do not depend on how the lint run is
+/// observed: metrics off, metrics on (direct run), and the survey's tallied
+/// run at sample 1 and at sample 16 all return the same findings.
+#[test]
+fn findings_do_not_depend_on_the_observer() {
+    let _guard = telemetry_lock();
+    let corpus = corpus(200, 16);
+    let registry = lint_registry();
+    let opts = RunOptions::ungated();
+    let direct = || -> Vec<Vec<Finding>> {
+        corpus.iter().map(|e| registry.run(&e.cert, opts).findings).collect()
+    };
+    let tallied = |sample: u64| -> Vec<Vec<Finding>> {
+        telemetry::set_metrics_sample(sample);
+        let mut tally = registry.tally();
+        let findings = corpus
+            .iter()
+            .map(|e| {
+                let ctx = LintContext::new(&e.cert);
+                registry.run_tallied_ctx(&ctx, opts, &mut tally).findings
+            })
+            .collect();
+        registry.flush_tally(&mut tally);
+        findings
+    };
+
+    let saved_sample = telemetry::metrics_sample();
+    telemetry::set_metrics_enabled(false);
+    let off = direct();
+    telemetry::set_metrics_enabled(true);
+    telemetry::set_metrics_sample(1);
+    let on = direct();
+    let tallied_every = tallied(1);
+    let tallied_sampled = tallied(16);
+    telemetry::set_metrics_enabled(false);
+    telemetry::set_metrics_sample(saved_sample);
+
+    assert!(off.iter().any(|f| !f.is_empty()), "the corpus must produce findings");
+    assert_eq!(off, on, "metrics on changed the findings");
+    assert_eq!(off, tallied_every, "the tallied run (sample 1) changed the findings");
+    assert_eq!(off, tallied_sampled, "the tallied run (sample 16) changed the findings");
 }
