@@ -11,7 +11,9 @@ const INLINE_CAP: usize = 22;
 
 /// Storage for the DER content octets: small OIDs live inline on the stack,
 /// pathological ones spill to the heap.
-#[derive(Clone)]
+///
+/// Every constructor zero-pads `buf` past `len`, so two inline reprs hold
+/// the same content octets exactly when their `len` and whole `buf` agree.
 enum Repr {
     /// The first `len` bytes of `buf` are the content octets.
     Inline {
@@ -30,7 +32,6 @@ enum Repr {
 /// sequence is decoded on demand. The representation is a small-buffer
 /// optimization: dictionary OIDs (`known::*`) and everything certificates
 /// carry in practice are built, cloned, and compared without allocating.
-#[derive(Clone)]
 pub struct Oid {
     repr: Repr,
 }
@@ -172,11 +173,27 @@ impl Oid {
     }
 }
 
-// Equality, ordering, and hashing all go through the content octets so an
+impl Clone for Oid {
+    fn clone(&self) -> Oid {
+        let repr = match &self.repr {
+            Repr::Inline { len, buf } => Repr::Inline { len: *len, buf: *buf },
+            Repr::Heap(der) => Repr::Heap(der.clone()),
+        };
+        Oid { repr }
+    }
+}
+
+// Equality, ordering, and hashing all mean "same content octets", so an
 // inline and a heap `Oid` with the same wire form are indistinguishable.
+// Two inline reprs compare as fixed-size values (`len` plus the zero-padded
+// buffer), which is the same answer because of the padding invariant on
+// [`Repr`]; any other pairing compares the octets themselves.
 impl PartialEq for Oid {
     fn eq(&self, other: &Oid) -> bool {
-        self.as_der_value() == other.as_der_value()
+        match (&self.repr, &other.repr) {
+            (Repr::Inline { len: a, buf: x }, Repr::Inline { len: b, buf: y }) => a == b && x == y,
+            _ => self.as_der_value() == other.as_der_value(),
+        }
     }
 }
 
@@ -203,6 +220,36 @@ impl Ord for Oid {
 /// Number of base-128 septets `v` encodes to.
 fn base128_len(v: u64) -> usize {
     1 + (1..10).rev().find(|&i| (v >> (7 * i)) & 0x7F != 0).unwrap_or(0)
+}
+
+/// Encode a dictionary arc sequence as an inline [`Oid`] at compile time.
+///
+/// Only `const` items in [`known`] call this, so every index below is
+/// evaluated by the compiler: an arc list that does not fit the inline
+/// buffer is a compile error, never a runtime panic. The arcs are not
+/// range-checked here; the dictionary test pins each entry against
+/// [`Oid::from_arcs`].
+const fn const_oid(arcs: &[u64]) -> Oid {
+    let mut buf = [0u8; INLINE_CAP];
+    let mut at = 0;
+    let mut i = 1;
+    while i < arcs.len() {
+        // The first two arcs share one subidentifier (X.690 §8.19.4).
+        let arc = if i == 1 { arcs[0] * 40 + arcs[1] } else { arcs[i] }; // analysis:allow(slice_index) const-evaluated only; an out-of-range index is a compile error
+        let mut top = 0;
+        while top < 9 && arc >> (7 * (top + 1)) != 0 {
+            top += 1;
+        }
+        while top > 0 {
+            buf[at] = ((arc >> (7 * top)) & 0x7F) as u8 | 0x80; // analysis:allow(slice_index) const-evaluated only; an out-of-range index is a compile error
+            at += 1;
+            top -= 1;
+        }
+        buf[at] = (arc & 0x7F) as u8; // analysis:allow(slice_index) const-evaluated only; an out-of-range index is a compile error
+        at += 1;
+        i += 1;
+    }
+    Oid { repr: Repr::Inline { len: at as u8, buf } }
 }
 
 fn for_each_base128(v: u64, mut emit: impl FnMut(u8)) {
@@ -236,32 +283,41 @@ impl fmt::Display for Oid {
 pub mod known {
     use super::Oid;
 
+    /// One dictionary entry: the OID, its arcs, and its short and long
+    /// names.
+    #[derive(Debug)]
+    pub struct Entry {
+        /// The OID (the same value the entry's accessor returns).
+        pub oid: Oid,
+        /// The arc sequence the OID encodes.
+        pub arcs: &'static [u64],
+        /// Short name, e.g. `CN`.
+        pub short: &'static str,
+        /// Long name, e.g. `commonName`.
+        pub long: &'static str,
+    }
+
     macro_rules! oids {
         ($($(#[$doc:meta])* $name:ident = [$($arc:expr),+], $short:literal, $long:literal;)+) => {
             $(
                 $(#[$doc])*
-                pub fn $name() -> Oid {
-                    // Encode once per process; afterwards each call is an
-                    // atomic load plus an inline-buffer memcpy (no heap).
-                    static CACHED: std::sync::OnceLock<Oid> = std::sync::OnceLock::new();
-                    CACHED
-                        .get_or_init(|| {
-                            Oid::from_arcs(&[$($arc),+]).expect("static OID is valid") // analysis:allow(expect) arcs are compile-time constants validated by tests
-                        })
-                        .clone()
+                pub const fn $name() -> Oid {
+                    // Encoded by the compiler: a call is a 24-byte copy.
+                    const OID: Oid = super::const_oid(&[$($arc),+]);
+                    OID
                 }
             )+
 
-            /// Look up `(short_name, long_name)` for a known OID.
-            pub fn lookup(oid: &Oid) -> Option<(&'static str, &'static str)> {
-                $(
-                    if oid == &$name() {
-                        return Some(($short, $long));
-                    }
-                )+
-                None
-            }
+            /// Every dictionary entry, in declaration order.
+            pub const ALL: &[Entry] = &[
+                $(Entry { oid: $name(), arcs: &[$($arc),+], short: $short, long: $long },)+
+            ];
         };
+    }
+
+    /// Look up `(short_name, long_name)` for a known OID.
+    pub fn lookup(oid: &Oid) -> Option<(&'static str, &'static str)> {
+        ALL.iter().find(|e| e.oid == *oid).map(|e| (e.short, e.long))
     }
 
     oids! {
@@ -429,6 +485,83 @@ mod tests {
         assert!(Oid::from_der_value(&[]).is_err());
         assert!(Oid::from_der_value(&[0x80, 0x01]).is_err()); // non-minimal
         assert!(Oid::from_der_value(&[0x55, 0x84]).is_err()); // truncated arc
+    }
+
+    #[test]
+    fn every_dictionary_entry_matches_its_arcs() {
+        assert!(!known::ALL.is_empty());
+        for entry in known::ALL {
+            let built = Oid::from_arcs(entry.arcs).expect("dictionary arcs encode");
+            assert_eq!(entry.oid, built, "{}", entry.long);
+            assert_eq!(entry.oid.as_der_value(), built.as_der_value(), "{}", entry.long);
+            assert_eq!(entry.oid.arcs(), entry.arcs, "{}", entry.long);
+            let dotted = entry.oid.to_dotted();
+            assert_eq!(Oid::from_dotted(&dotted), Some(entry.oid.clone()), "{dotted}");
+            assert_eq!(known::lookup(&built), Some((entry.short, entry.long)));
+        }
+        // The accessors return the table's values.
+        assert_eq!(known::common_name(), known::ALL[0].oid);
+        assert_eq!(known::subject_alt_name().to_dotted(), "2.5.29.17");
+    }
+
+    fn hash_of(oid: &Oid) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        oid.hash(&mut h);
+        h.finish()
+    }
+
+    /// `==` must agree with comparing content octets, and with `Hash`
+    /// and `Ord`, for every pairing of reprs.
+    fn assert_consistent(a: &Oid, b: &Oid) {
+        let bytes_equal = a.as_der_value() == b.as_der_value();
+        assert_eq!(a == b, bytes_equal, "{a:?} vs {b:?}");
+        assert_eq!(b == a, bytes_equal, "{b:?} vs {a:?}");
+        assert_eq!(a.cmp(b), a.as_der_value().cmp(b.as_der_value()), "{a:?} vs {b:?}");
+        assert_eq!(a.cmp(b) == std::cmp::Ordering::Equal, bytes_equal);
+        if bytes_equal {
+            assert_eq!(hash_of(a), hash_of(b), "{a:?} vs {b:?}");
+        }
+    }
+
+    fn heap_copy(oid: &Oid) -> Oid {
+        Oid { repr: Repr::Heap(oid.as_der_value().into()) }
+    }
+
+    #[test]
+    fn equality_fast_path_matches_bytes_hash_and_order() {
+        let long_arcs: Vec<u64> = (0..30).map(|i| 1000 + i).collect();
+        let long = Oid::from_arcs(&[&[1u64, 3][..], &long_arcs].concat()).unwrap();
+        assert!(matches!(long.repr, Repr::Heap(_)));
+        let mut oids = vec![
+            // Shared prefixes, different lengths.
+            known::certificate_policies(),
+            known::any_policy(),
+            Oid::from_arcs(&[2, 5, 29]).unwrap(),
+            Oid::from_arcs(&[2, 5, 29, 32, 0, 0]).unwrap(),
+            known::eku_server_auth(),
+            known::eku_client_auth(),
+            known::authority_info_access(),
+            // Parsed from DER rather than built from the dictionary.
+            Oid::from_der_value(&[0x55, 0x04, 0x03]).unwrap(),
+            Oid::from_der_value(&[0x55, 0x04]).unwrap(),
+            long.clone(),
+            Oid::from_arcs(&[&[1u64, 3][..], &long_arcs[..29]].concat()).unwrap(),
+        ];
+        // The same octets held on the heap, against the inline originals.
+        oids.push(heap_copy(&known::common_name()));
+        oids.push(heap_copy(&known::any_policy()));
+        oids.push(heap_copy(&long));
+        for a in &oids {
+            for b in &oids {
+                assert_consistent(a, b);
+            }
+        }
+        let parsed = Oid::from_der_value(known::common_name().as_der_value()).unwrap();
+        assert_eq!(parsed, known::common_name());
+        assert_eq!(heap_copy(&parsed), known::common_name());
+        assert_eq!(parsed.clone(), parsed);
+        assert_eq!(long.clone(), long);
     }
 
     #[test]

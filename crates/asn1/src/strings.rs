@@ -128,6 +128,31 @@ impl StringKind {
         Ok(s)
     }
 
+    /// The wire decode of `bytes` when it is the bytes themselves: a
+    /// UTF8String that is valid UTF-8, or a single-byte kind whose bytes
+    /// are all ASCII (Latin-1 widening maps them to themselves). `None`
+    /// when decoding would have to build new text or fails.
+    ///
+    /// Where this is `Some(t)`, [`StringKind::decode_wire`] returns
+    /// `Ok(t.to_owned())`.
+    pub fn wire_identity(self, bytes: &[u8]) -> Option<&str> {
+        match self {
+            StringKind::Utf8 => std::str::from_utf8(bytes).ok(),
+            StringKind::Numeric
+            | StringKind::Printable
+            | StringKind::Ia5
+            | StringKind::Visible
+            | StringKind::Teletex => {
+                if bytes.is_ascii() {
+                    std::str::from_utf8(bytes).ok()
+                } else {
+                    None
+                }
+            }
+            StringKind::Universal | StringKind::Bmp => None,
+        }
+    }
+
     /// Decode only the wire format (UTF-8 validity, UCS-2 pairing, …),
     /// without the character-set check. This is what "over-tolerant"
     /// implementations do (§5.1).
@@ -310,6 +335,23 @@ mod tests {
         let s = StringKind::Printable.decode_wire(&[b'a', 0xE9]).unwrap();
         assert_eq!(s, "aé");
         assert!(StringKind::Printable.decode_strict(&[b'a', 0xE9]).is_err());
+    }
+
+    #[test]
+    fn wire_identity_agrees_with_decode_wire() {
+        let inputs: [&[u8]; 6] =
+            [b"", b"plain ascii", "Müller".as_bytes(), &[b'a', 0xE9], &[0xC3, 0x28], &[0x00, 0x41]];
+        for kind in ALL_KINDS {
+            for bytes in inputs {
+                if let Some(t) = kind.wire_identity(bytes) {
+                    assert_eq!(kind.decode_wire(bytes).as_deref(), Ok(t), "{kind:?} {bytes:?}");
+                    assert_eq!(t.as_bytes(), bytes);
+                }
+            }
+        }
+        assert_eq!(StringKind::Utf8.wire_identity("Müller".as_bytes()), Some("Müller"));
+        assert_eq!(StringKind::Teletex.wire_identity(&[b'a', 0xE9]), None);
+        assert_eq!(StringKind::Bmp.wire_identity(b"ab"), None);
     }
 
     #[test]

@@ -34,6 +34,10 @@
 //! * `--history <json>`: append one run record (id, corpus, fingerprint,
 //!   per-configuration certs/sec) to a cumulative trajectory file, so
 //!   throughput is comparable *across* PRs, not just against one baseline.
+//!
+//! An unknown flag (say `--min-speedp 2.0`) exits 2 before any work, so a
+//! misspelled gate cannot pass by not running; `--help` prints usage and
+//! exits 0.
 
 #![forbid(unsafe_code)]
 
@@ -135,7 +139,15 @@ fn time_run(
     (report, Sample { mode, metric, threads })
 }
 
+const USAGE: &str = "usage: bench_throughput [size] [seed] [--baseline <json>] \
+[--min-speedup <ratio>] [--min-view-speedup <ratio>] [--history <json>] \
+[--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(
+        USAGE,
+        &["--baseline", "--min-speedup", "--min-view-speedup", "--history"],
+    );
     let _telemetry = unicert_bench::telemetry_args();
     let config = corpus_args(100_000);
     let baseline_path = flag_arg("--baseline");

@@ -17,7 +17,8 @@
 //!
 //! The stage-breakdown and context-cache summaries printed to stdout go
 //! through the shared [`unicert_bench::cli`] renderer, so `--format` here
-//! behaves exactly as it does in `explain`.
+//! behaves exactly as it does in `explain`. An unknown flag exits 2 and
+//! `--help` prints usage, both before any work.
 
 #![forbid(unsafe_code)]
 
@@ -73,7 +74,11 @@ fn stage_breakdown(snapshot: &Snapshot) -> Vec<(&'static str, &HistogramSnapshot
     stages
 }
 
+const USAGE: &str = "usage: telemetry_report [size] [seed] [--format tsv|json] \
+[--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &["--format"]);
     let _telemetry = unicert_bench::telemetry_args();
     let format = cli::output_format();
     let config = corpus_args(20_000);

@@ -76,6 +76,68 @@ fn parse_or<T: std::str::FromStr>(
     }
 }
 
+/// The telemetry flags [`telemetry_args`] reads; every binary accepts them.
+const TELEMETRY_FLAGS: [&str; 2] = ["--metrics-out", "--trace-out"];
+
+/// What the command line asks for, once its flags are known good.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlagCheck {
+    /// Run the binary.
+    Run,
+    /// Print usage and stop (`--help` or `-h`).
+    Help,
+}
+
+/// Check the flag names in `args` (argv without the program name) against
+/// `accepted` plus the telemetry flags (`--metrics-out`, `--trace-out`).
+/// `--help` or `-h` anywhere asks for usage. Every other flag takes a
+/// value, as `--flag value` or `--flag=value`; positional arguments are
+/// left to [`corpus_args`]. An unknown flag, or a flag missing its value,
+/// is an error, so a misspelled gate flag cannot switch the gate off.
+pub fn check_flag_names(
+    args: impl IntoIterator<Item = String>,
+    accepted: &[&str],
+) -> Result<FlagCheck, String> {
+    let args: Vec<String> = args.into_iter().collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(FlagCheck::Help);
+    }
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let (name, inline_value) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg.as_str(), false),
+        };
+        if !accepted.contains(&name) && !TELEMETRY_FLAGS.contains(&name) {
+            return Err(format!("unknown flag {name}"));
+        }
+        if !inline_value && args.next().is_none() {
+            return Err(format!("{name} needs a value"));
+        }
+    }
+    Ok(FlagCheck::Run)
+}
+
+/// [`check_flag_names`] over this process's argv: on `--help` print
+/// `usage` and exit 0; on a bad flag print the problem and `usage` to
+/// stderr and exit 2. Call it first in `main`, before any work starts.
+pub fn accept_flags(usage: &str, accepted: &[&str]) {
+    match check_flag_names(std::env::args().skip(1), accepted) {
+        Ok(FlagCheck::Run) => {}
+        Ok(FlagCheck::Help) => {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Err(problem) => {
+            eprintln!("error: {problem}\n{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Telemetry wiring resolved from argv and environment; dropping the guard
 /// (end of `main`) writes the metrics snapshot and flushes the trace sink.
 ///
@@ -194,6 +256,37 @@ mod tests {
         assert_eq!((config.size, config.seed), (100_000, 42));
         let config = parse(&["--baseline", "b.json", "20000", "--min-speedup=2", "7"]).unwrap();
         assert_eq!((config.size, config.seed), (20_000, 7));
+    }
+
+    fn check(args: &[&str]) -> Result<FlagCheck, String> {
+        check_flag_names(args.iter().map(|a| a.to_string()), &["--baseline", "--min-speedup"])
+    }
+
+    #[test]
+    fn flag_check_accepts_known_flags_in_both_forms() {
+        assert_eq!(check(&[]), Ok(FlagCheck::Run));
+        let args = ["20000", "42", "--baseline", "b.json", "--min-speedup=2.0"];
+        assert_eq!(check(&args), Ok(FlagCheck::Run));
+        assert_eq!(check(&["--metrics-out", "m.json", "--trace-out=t.ndjson"]), Ok(FlagCheck::Run));
+        // A value that looks like a flag belongs to the flag before it.
+        assert_eq!(check(&["--baseline", "--odd-file-name"]), Ok(FlagCheck::Run));
+    }
+
+    #[test]
+    fn flag_check_rejects_unknown_or_valueless_flags() {
+        let err = check(&["10", "1", "--min-speedp", "2.0"]).unwrap_err();
+        assert!(err.contains("--min-speedp"), "{err}");
+        let err = check(&["--min-speedp=2.0"]).unwrap_err();
+        assert!(err.contains("--min-speedp"), "{err}");
+        let err = check(&["--baseline"]).unwrap_err();
+        assert!(err.contains("needs a value"), "{err}");
+    }
+
+    #[test]
+    fn flag_check_help_wins() {
+        assert_eq!(check(&["--help"]), Ok(FlagCheck::Help));
+        assert_eq!(check(&["20000", "-h"]), Ok(FlagCheck::Help));
+        assert_eq!(check(&["--bogus", "x", "--help"]), Ok(FlagCheck::Help));
     }
 
     #[test]

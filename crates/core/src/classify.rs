@@ -37,6 +37,21 @@ fn value_has_unicode(bytes: &[u8]) -> bool {
     bytes.iter().any(|&b| !(0x20..=0x7E).contains(&b))
 }
 
+/// Is this GeneralName string an IDN? `is_idn_domain` applied to its text,
+/// after splitting on `seps` as well as `.` (`@` and `/` for email and URI
+/// values, nothing more for DNSNames), read straight from the bytes.
+///
+/// Exact for GeneralName strings: `GeneralName::parse` tags every string
+/// alternative IA5, whose wire decode widens each byte to one char. So the
+/// text is non-ASCII exactly when a byte is ≥ 0x80, and otherwise its
+/// labels are the byte runs between separators.
+pub(crate) fn ia5_is_idn(bytes: &[u8], seps: &[u8]) -> bool {
+    !bytes.is_ascii()
+        || bytes
+            .split(|b| *b == b'.' || seps.contains(b))
+            .any(|label| label.get(..4).is_some_and(|p| p.eq_ignore_ascii_case(b"xn--")))
+}
+
 /// Classify a certificate.
 pub fn classify(cert: &Certificate) -> UnicertClass {
     classify_ctx(&LintContext::new(cert))
@@ -45,79 +60,56 @@ pub fn classify(cert: &Certificate) -> UnicertClass {
 /// Classify through a memoized [`LintContext`], sharing parsed extensions
 /// and decoded attribute text with the lint run that uses the same context.
 pub fn classify_ctx(ctx: &LintContext<'_>) -> UnicertClass {
-    let mut has_unicode = false;
-    let mut has_idn = false;
+    let mut class = UnicertClass { has_unicode: false, has_idn: false };
 
     for attr in ctx.dn_attrs(Which::Subject).iter().chain(ctx.dn_attrs(Which::Issuer)) {
-        if value_has_unicode(attr.val.bytes()) {
-            has_unicode = true;
-        }
+        class.has_unicode |= value_has_unicode(attr.val.bytes());
         // CN may carry a domain: IDN check applies to it too (§4.1 —
         // "containing IDNs in the DNSName-related fields (e.g. CommonName
         // and the extensions)").
         if attr.oid == known::common_name() {
             if let Some(text) = attr.val.wire_text() {
-                if unicert_idna::is_idn_domain(text) {
-                    has_idn = true;
-                }
+                class.has_idn |= unicert_idna::is_idn_domain(text);
             }
         }
     }
     // All extensions (duplicates included), parse results memoized in ctx.
     for parsed in ctx.parsed_extensions().iter().flatten() {
+        use unicert_x509::extensions::PolicyQualifier;
         use unicert_x509::ParsedExtension::*;
-        let names: Vec<&GeneralName> = match parsed {
-            SubjectAltName(n) | IssuerAltName(n) => n.iter().collect(),
-            CrlDistributionPoints(dps) => {
-                dps.iter().flat_map(|d| d.full_names.iter()).collect()
+        match parsed {
+            SubjectAltName(names) | IssuerAltName(names) => {
+                names.iter().for_each(|n| note_name(&mut class, n))
             }
+            CrlDistributionPoints(dps) => dps
+                .iter()
+                .flat_map(|d| &d.full_names)
+                .for_each(|n| note_name(&mut class, n)),
             AuthorityInfoAccess(ads) | SubjectInfoAccess(ads) => {
-                ads.iter().map(|a| &a.location).collect()
+                ads.iter().for_each(|a| note_name(&mut class, &a.location))
             }
             CertificatePolicies(ps) => {
-                for p in ps {
-                    for q in &p.qualifiers {
-                        if let unicert_x509::extensions::PolicyQualifier::UserNotice {
-                            explicit_text: Some(t),
-                        } = q
-                        {
-                            if value_has_unicode(&t.bytes) {
-                                has_unicode = true;
-                            }
-                        }
+                for q in ps.iter().flat_map(|p| &p.qualifiers) {
+                    if let PolicyQualifier::UserNotice { explicit_text: Some(t) } = q {
+                        class.has_unicode |= value_has_unicode(&t.bytes);
                     }
                 }
-                Vec::new()
             }
-            _ => Vec::new(),
-        };
-        for n in names {
-            match n {
-                GeneralName::DnsName(v) => {
-                    if value_has_unicode(&v.bytes) {
-                        has_unicode = true;
-                    }
-                    if let Ok(text) = v.decode_wire() {
-                        if unicert_idna::is_idn_domain(&text) {
-                            has_idn = true;
-                        }
-                    }
-                }
-                GeneralName::Rfc822Name(v) | GeneralName::Uri(v) => {
-                    if value_has_unicode(&v.bytes) {
-                        has_unicode = true;
-                    }
-                    if let Ok(text) = v.decode_wire() {
-                        if text.split(['@', '/']).any(unicert_idna::is_idn_domain) {
-                            has_idn = true;
-                        }
-                    }
-                }
-                _ => {}
-            }
+            _ => {}
         }
     }
-    UnicertClass { has_unicode, has_idn }
+    class
+}
+
+/// Fold one extension GeneralName into `class`.
+fn note_name(class: &mut UnicertClass, name: &GeneralName) {
+    let (v, seps): (_, &[u8]) = match name {
+        GeneralName::DnsName(v) => (v, b""),
+        GeneralName::Rfc822Name(v) | GeneralName::Uri(v) => (v, b"@/"),
+        _ => return,
+    };
+    class.has_unicode |= value_has_unicode(&v.bytes);
+    class.has_idn |= ia5_is_idn(&v.bytes, seps);
 }
 
 #[cfg(test)]

@@ -1088,10 +1088,7 @@ fn field_matrix_marks(ctx: &unicert_lint::LintContext<'_>) -> Vec<&'static str> 
             }
         }
     }
-    if ctx.san_dns().iter().any(|v| {
-        let h = v.raw().display_lossy();
-        unicert_idna::is_idn_domain(&h) || !h.is_ascii()
-    }) {
+    if ctx.san_dns().iter().any(|v| classify::ia5_is_idn(v.bytes(), b"")) {
         marks.push("SAN");
     }
     if ctx.has_extension(&known::certificate_policies()) {

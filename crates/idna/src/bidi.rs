@@ -28,11 +28,10 @@ pub enum BidiClass {
     Other,
 }
 
-/// Approximate bidi class of a character.
-pub fn bidi_class(ch: char) -> BidiClass {
-    let cp = ch as u32;
-    // Strong RTL script ranges (R / AL).
-    let rtl = matches!(
+/// Is `cp` in one of the strong RTL script ranges (R / AL)? The Arabic
+/// number ranges lie inside them too.
+fn in_rtl_range(cp: u32) -> bool {
+    matches!(
         cp,
         0x0590..=0x05FF // Hebrew
             | 0x0600..=0x06FF // Arabic
@@ -44,7 +43,13 @@ pub fn bidi_class(ch: char) -> BidiClass {
             | 0xFB1D..=0xFDFF // Hebrew/Arabic presentation forms
             | 0xFE70..=0xFEFF
             | 0x1EE00..=0x1EEFF
-    );
+    )
+}
+
+/// Approximate bidi class of a character.
+pub fn bidi_class(ch: char) -> BidiClass {
+    let cp = ch as u32;
+    let rtl = in_rtl_range(cp);
     if ch.is_ascii_digit() {
         return BidiClass::En;
     }
@@ -76,6 +81,12 @@ pub fn is_rtl_label(label: &str) -> bool {
 /// * RTL labels: only R/AL/AN/EN/NSM/Other; not both EN and AN; last
 ///   non-NSM character R/AL/EN/AN.
 pub fn satisfies_bidi_rule(label: &str) -> bool {
+    // Only a code point in an RTL range can be classed Rtl or An. Without
+    // one the label passes (the `!has_rtl && !has_an` arm below), so skip
+    // the per-character general-category lookups.
+    if !label.chars().any(|c| in_rtl_range(c as u32)) {
+        return true;
+    }
     // One streaming pass: the rule only needs the first class, whether each
     // class occurs at all, and the last non-NSM class.
     let mut first: Option<BidiClass> = None;

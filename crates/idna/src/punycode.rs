@@ -59,13 +59,9 @@ fn char_to_digit(c: char) -> Option<u32> {
 ///
 /// Returns `None` on overflow (inputs beyond the algorithm's range).
 pub fn encode(input: &str) -> Option<String> {
-    let chars: Vec<u32> = input.chars().map(|c| c as u32).collect();
-    let mut output = String::new();
-    let basic: Vec<u32> = chars.iter().copied().filter(|&c| c < 0x80).collect();
-    for &c in &basic {
-        output.push(char::from_u32(c)?);
-    }
-    let b = basic.len() as u32;
+    let mut output: String = input.chars().filter(char::is_ascii).collect();
+    let b = output.len() as u32;
+    let total = input.chars().count();
     let mut h = b;
     // RFC 3492 §6.3: the delimiter is emitted whenever there are basic code
     // points, even if no extended code points follow ("-> $1.00 <-" encodes
@@ -76,11 +72,11 @@ pub fn encode(input: &str) -> Option<String> {
     let mut n = INITIAL_N;
     let mut delta: u32 = 0;
     let mut bias = INITIAL_BIAS;
-    while (h as usize) < chars.len() {
-        let m = chars.iter().copied().filter(|&c| c >= n).min()?;
+    while (h as usize) < total {
+        let m = input.chars().map(u32::from).filter(|&c| c >= n).min()?;
         delta = delta.checked_add((m - n).checked_mul(h + 1)?)?;
         n = m;
-        for &c in &chars {
+        for c in input.chars().map(u32::from) {
             if c < n {
                 delta = delta.checked_add(1)?;
             }

@@ -3,7 +3,18 @@
 use super::lint;
 use crate::framework::{Lint, LintStatus, NoncomplianceType::InvalidStructure, Severity::*, Source::*};
 use crate::helpers::{self, Which};
+use std::borrow::Cow;
 use unicert_asn1::oid::known;
+
+/// `text.to_lowercase()`, borrowed when that changes nothing: ASCII text
+/// without uppercase letters.
+fn lowercase(text: &str) -> Cow<'_, str> {
+    if text.bytes().any(|b| !b.is_ascii() || b.is_ascii_uppercase()) {
+        Cow::Owned(text.to_lowercase())
+    } else {
+        Cow::Borrowed(text)
+    }
+}
 
 /// The 2 T3c lints.
 pub fn lints() -> Vec<Lint> {
@@ -18,26 +29,27 @@ pub fn lints() -> Vec<Lint> {
             "CABF BR §7.1.4.2.2(a)",
             CabfBr, Warning, InvalidStructure, new = false,
             |ctx| {
-                let cns: Vec<_> = ctx.attr_vals(Which::Subject, &known::common_name()).collect();
-                if cns.is_empty() {
+                let mut cns = ctx.attr_vals(Which::Subject, &known::common_name()).peekable();
+                if cns.peek().is_none() {
                     return LintStatus::NotApplicable;
                 }
-                let mut san_texts: Vec<String> = Vec::new();
-                for n in ctx.san() {
-                    match n {
+                let san = ctx.san();
+                let in_san = |cn: &str| {
+                    san.iter().any(|n| match n {
                         unicert_x509::GeneralName::DnsName(v)
                         | unicert_x509::GeneralName::Rfc822Name(v)
-                        | unicert_x509::GeneralName::Uri(v) => san_texts.push(v.display_lossy().to_lowercase()),
+                        | unicert_x509::GeneralName::Uri(v) => match v.wire_str() {
+                            Some(text) => lowercase(text) == cn,
+                            None => v.display_lossy().to_lowercase() == cn,
+                        },
                         unicert_x509::GeneralName::IpAddress(b) if b.len() == 4 => {
-                            san_texts.push(format!("{}.{}.{}.{}", b[0], b[1], b[2], b[3]))
+                            format!("{}.{}.{}.{}", b[0], b[1], b[2], b[3]) == cn
                         }
-                        _ => {}
-                    }
-                }
-                let all_found = cns.iter().all(|&cn| {
-                    helpers::lenient_text(cn)
-                        .map(|t| san_texts.contains(&t.to_lowercase()))
-                        .unwrap_or(false)
+                        _ => false,
+                    })
+                };
+                let all_found = cns.all(|cn| {
+                    helpers::lenient_text(cn).is_some_and(|t| in_san(&lowercase(t)))
                 });
                 if all_found {
                     LintStatus::Pass

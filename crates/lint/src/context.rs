@@ -134,18 +134,34 @@ struct EvidenceState {
     touched: TouchLog,
 }
 
+/// A value's memoized wire decode.
+#[derive(Debug)]
+enum Wire {
+    /// The decode is the value's own bytes ([`RawValue::wire_str`]):
+    /// served from them, nothing stored.
+    Identity,
+    /// Latin-1 widening of non-ASCII bytes, UCS-2 or UCS-4: decoded text.
+    Decoded(Box<str>),
+    /// Not decodable under the declared tag.
+    Invalid,
+}
+
 /// A string value with memoized decode results.
 ///
 /// Wraps the original [`RawValue`] (tag + bytes, untouched) and computes the
 /// wire decode, the strict decode verdict, and the NFC verdict at most once
-/// each, no matter how many lints ask. In evidence mode the value also
-/// carries its [`Origin`]; every accessor then logs the touch so the
-/// framework can attribute byte ranges to the finding of the lint that
-/// asked.
+/// each, no matter how many lints ask. The strict verdict reuses the wire
+/// decode. In evidence mode the value also carries its [`Origin`]; every
+/// accessor then logs the touch so the framework can attribute byte ranges
+/// to the finding of the lint that asked.
 #[derive(Debug)]
 pub struct CachedVal {
     raw: RawValue,
-    wire: OnceCell<Option<Box<str>>>,
+    wire: OnceCell<Wire>,
+    /// Has [`CachedVal::wire_text`] been asked before? Kept apart from
+    /// `wire`, which `strict_ok` may fill first, so the `dn_text` hit/miss
+    /// tally counts accessor calls the same way whichever fills the memo.
+    wire_asked: Cell<bool>,
     strict_ok: OnceCell<bool>,
     nfc_ok: OnceCell<bool>,
     stats: Rc<CacheStats>,
@@ -162,6 +178,7 @@ impl CachedVal {
         CachedVal {
             raw,
             wire: OnceCell::new(),
+            wire_asked: Cell::new(false),
             strict_ok: OnceCell::new(),
             nfc_ok: OnceCell::new(),
             stats,
@@ -201,21 +218,43 @@ impl CachedVal {
         &self.raw.bytes
     }
 
+    /// The memoized wire decode, without touching origins or stats.
+    fn wire(&self) -> Option<&str> {
+        let wire = self.wire.get_or_init(|| {
+            if self.raw.wire_str().is_some() {
+                return Wire::Identity;
+            }
+            match self.raw.decode_wire() {
+                Ok(text) => Wire::Decoded(text.into_boxed_str()),
+                Err(_) => Wire::Invalid,
+            }
+        });
+        match wire {
+            // Identity was recorded because these bytes are valid UTF-8.
+            Wire::Identity => std::str::from_utf8(&self.raw.bytes).ok(),
+            Wire::Decoded(text) => Some(text),
+            Wire::Invalid => None,
+        }
+    }
+
     /// Wire-format decode (`RawValue::decode_wire`), memoized. `None` means
     /// the bytes are not decodable under the declared tag.
     pub fn wire_text(&self) -> Option<&str> {
         self.touch_origin();
-        self.stats.dn_text.touch(self.wire.get().is_some());
-        self.wire
-            .get_or_init(|| self.raw.decode_wire().ok().map(String::into_boxed_str))
-            .as_deref()
+        self.stats.dn_text.touch(self.wire_asked.replace(true));
+        self.wire()
     }
 
     /// Does the value pass a strict decode (`RawValue::decode_strict`)?
+    /// That is the wire decode plus the declared kind's character set, so
+    /// the verdict reads the memoized wire text instead of decoding again.
     pub fn strict_ok(&self) -> bool {
         self.touch_origin();
         self.stats.dn_text.touch(self.strict_ok.get().is_some());
-        *self.strict_ok.get_or_init(|| self.raw.decode_strict().is_ok())
+        *self.strict_ok.get_or_init(|| match (self.raw.kind(), self.wire()) {
+            (Some(kind), Some(text)) => text.chars().all(|c| kind.allows_char(c)),
+            _ => false,
+        })
     }
 
     /// Is the wire-decoded text NFC-normalized? Undecodable bytes count as
@@ -270,18 +309,17 @@ impl LabelInfo {
                 Err(_) => ALabelStatus::DisallowedContent,
             }
         };
-        // a_to_u checks NFC before other U-label rules may fire; also catch
-        // decodable labels whose U-label isn't NFC but that fail earlier
-        // pipeline stages. Lowercasing allocates only when needed.
+        // A converted U-label passed `validate_u_label`, NFC check included.
+        // Otherwise a_to_u may have stopped before its NFC check, so decode
+        // the payload once more to catch non-NFC labels that fail earlier
+        // pipeline stages.
         let non_nfc = match &converted {
+            Ok(_) => false,
             Err(LabelError::NotNfc) => true,
-            _ => match label.get(4..) {
-                Some(payload) => match decode_payload_lowercased(payload) {
-                    Some(u) => !nfc::is_nfc(&u),
-                    None => false,
-                },
-                None => false,
-            },
+            Err(_) => label
+                .get(4..)
+                .and_then(decode_payload_lowercased)
+                .is_some_and(|u| !nfc::is_nfc(&u)),
         };
         let roundtrip_mismatch = matches!(&converted, Err(LabelError::RoundTripMismatch));
         LabelInfo { status, non_nfc, roundtrip_mismatch }

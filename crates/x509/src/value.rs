@@ -50,6 +50,12 @@ impl RawValue {
         }
     }
 
+    /// The wire decode borrowed from the bytes, when it is the bytes
+    /// themselves ([`StringKind::wire_identity`]).
+    pub fn wire_str(&self) -> Option<&str> {
+        self.kind()?.wire_identity(&self.bytes)
+    }
+
     /// Best-effort text for display: strict → wire → Latin-1 fallback.
     pub fn display_lossy(&self) -> String {
         self.decode_wire()
