@@ -68,7 +68,11 @@ struct ClassRow {
     secs: f64,
 }
 
+const USAGE: &str = "usage: bench_differential [--certs <n>] [--seed <s>] \
+[--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &["--certs", "--seed"]);
     let _telemetry = unicert_bench::telemetry_args();
     let (certs, seed) = differential_args();
     let bimi_certs = (certs / 4).max(1);

@@ -116,6 +116,9 @@ fn expected_with_corruption(
     report
 }
 
+const USAGE: &str = "usage: bench_store [size] [seed] [--shard-size <k>] [--baseline <json>] \
+[--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
     // Hidden worker mode must run before any flag/corpus handling.
     {
@@ -128,6 +131,7 @@ fn main() {
             resume_worker(store_dir, ckpt_dir);
         }
     }
+    unicert_bench::accept_flags(USAGE, &["--shard-size", "--baseline"]);
     let _telemetry = unicert_bench::telemetry_args();
     let config = corpus_args(20_000);
     let shard_size: usize = flag_arg("--shard-size")

@@ -48,7 +48,7 @@ use unicert::corpus::{CertMeta, CorpusEntry, CorpusGenerator};
 use unicert::lint::RunOptions;
 use unicert::survey::{self, SurveyOptions, SurveyReport};
 use unicert::telemetry::{self, Stopwatch};
-use unicert::x509::{CertView, Certificate};
+use unicert::x509::{reference, CertView};
 use unicert_bench::baseline::Baseline;
 use unicert_bench::{corpus_args, flag_arg};
 
@@ -206,16 +206,18 @@ fn main() {
         thread_counts.push(machine);
     }
 
-    // Parse-only phase: raw decode throughput over the same DER, owned
-    // tree vs zero-copy view — isolates how much of the survey's budget
-    // the decoder itself consumes, and how much the borrowed path saves.
+    // Parse-only phase: raw decode throughput over the same DER, the eager
+    // reference decoder's owned tree vs the zero-copy view — isolates how
+    // much of the survey's budget the decoder itself consumes, and how
+    // much the borrowed path saves. (`Certificate::parse_der_budgeted` is
+    // the view decode plus a copy, so the owned row uses the reference.)
     // Both passes must accept every generated certificate; the count check
     // also keeps the optimizer from eliding the parses.
     type ParsePass = fn(&[u8], &ParseBudget) -> bool;
     let budget = ParseBudget::default();
     let mut parse_samples = Vec::new();
     let passes: [(&'static str, ParsePass); 2] = [
-        ("parse_only_owned", |der, b| Certificate::parse_der_budgeted(der, b).is_ok()),
+        ("parse_only_owned", |der, b| reference::parse_der(der, Some(b)).is_ok()),
         ("parse_only_view", |der, b| {
             let state = b.start();
             CertView::parse_der_budgeted(der, &state).is_ok()
@@ -261,8 +263,9 @@ fn main() {
     samples.extend(parse_samples);
 
     // Full-survey A/B over the same DER in the same process: the owned
-    // decode+lint kernel (eager `Certificate` tree, `LintContext::new`,
-    // content-inferred meta) against the zero-copy view path
+    // decode+lint kernel (the reference decoder's eager `Certificate`
+    // tree, `LintContext::new`, content-inferred meta) against the
+    // zero-copy view path
     // (`run_bytes`). The two reports must be byte-identical — the
     // equivalence suite's invariant exercised at survey scale — and the
     // wall-clock ratio is a machine-speed-free measure of the borrowed
@@ -276,7 +279,7 @@ fn main() {
         let watch = Stopwatch::start();
         let owned_report = survey::run(
             ders.iter().map(|der| {
-                let cert = Certificate::parse_der_budgeted(der, &budget)
+                let cert = reference::parse_der(der, Some(&budget))
                     .expect("generated certificate parses");
                 let meta = CertMeta::inferred(&cert);
                 CorpusEntry { cert, meta }

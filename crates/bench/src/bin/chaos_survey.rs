@@ -65,7 +65,11 @@ struct ClassRow {
     secs: f64,
 }
 
+const USAGE: &str = "usage: chaos_survey [--certs <n>] [--seed <s>] \
+[--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &["--certs", "--seed"]);
     let _telemetry = unicert_bench::telemetry_args();
     let (certs, seed) = chaos_args();
     eprintln!("chaos_survey: generating corpus size={certs} seed={seed} ...");

@@ -298,7 +298,11 @@ fn explain_vectors(dir: &str, format: OutputFormat) {
     }
 }
 
+const USAGE: &str = "usage: explain <vector.der> [--profile NAME] [--format tsv|json] | \
+explain --vectors <dir> [--format tsv|json] [--out FILE]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &["--vectors", "--profile", "--format", "--out"]);
     let format = cli::output_format();
     if let Some(dir) = flag_arg("--vectors") {
         return explain_vectors(&dir, format);
@@ -318,9 +322,6 @@ fn main() {
     }
     match target {
         Some(path) => explain_one(&path, format),
-        None => fail(
-            "usage: explain <vector.der> [--profile NAME] [--format tsv|json] | \
-             explain --vectors <dir> [--format tsv|json] [--out FILE]",
-        ),
+        None => fail(USAGE),
     }
 }

@@ -11,7 +11,11 @@ fn cdf_at(samples: &[i64], day: i64) -> f64 {
     samples.iter().filter(|&&d| d <= day).count() as f64 / samples.len() as f64
 }
 
+const USAGE: &str = "usage: figure3_validity_cdf [size] [seed] \
+[--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &[]);
     let _telemetry = unicert_bench::telemetry_args();
     let config = unicert_bench::corpus_args(100_000);
     eprintln!("corpus: {} Unicerts (seed {})", config.size, config.seed);

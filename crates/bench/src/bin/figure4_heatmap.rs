@@ -5,7 +5,11 @@
 use std::collections::BTreeSet;
 use unicert_bench::table;
 
+const USAGE: &str = "usage: figure4_heatmap [size] [seed] \
+[--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &[]);
     let _telemetry = unicert_bench::telemetry_args();
     let config = unicert_bench::corpus_args(60_000);
     eprintln!("corpus: {} Unicerts (seed {})", config.size, config.seed);

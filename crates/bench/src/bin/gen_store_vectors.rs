@@ -73,7 +73,10 @@ const VECTORS: [Vector; 5] = [
     },
 ];
 
+const USAGE: &str = "usage: gen_store_vectors [outdir]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &[]);
     if let Err(e) = run() {
         eprintln!("gen_store_vectors: {e}");
         std::process::exit(1);

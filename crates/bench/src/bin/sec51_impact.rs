@@ -6,7 +6,10 @@
 use unicert::corpus::{trust, CorpusGenerator, TrustStatus};
 use unicert::lint::{NoncomplianceType, RunOptions};
 
+const USAGE: &str = "usage: sec51_impact [size] [seed] [--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &[]);
     let _telemetry = unicert_bench::telemetry_args();
     let config = unicert_bench::corpus_args(100_000);
     eprintln!("corpus: {} Unicerts (seed {})", config.size, config.seed);

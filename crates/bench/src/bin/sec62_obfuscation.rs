@@ -4,7 +4,10 @@
 use unicert::threats::{all_clients, run_obfuscation_experiment, ClientOutcome};
 use unicert_bench::table;
 
+const USAGE: &str = "usage: sec62_obfuscation [--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &[]);
     let _telemetry = unicert_bench::telemetry_args();
     println!("§6.2 P2.1 — blocklist evasion against middlebox engines");
     let results = run_obfuscation_experiment();

@@ -8,7 +8,10 @@ use unicert::threats::browser::ControlRendering;
 use unicert::x509::{CertificateBuilder, SimKey};
 use unicert_bench::table;
 
+const USAGE: &str = "usage: table14_browsers [--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &[]);
     let _telemetry = unicert_bench::telemetry_args();
     println!("Table 14 — Certificate visualization and potential spoofing issues");
     let crafted = "www.\u{202E}lapyap\u{202C}.com";

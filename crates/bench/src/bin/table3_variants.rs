@@ -7,7 +7,10 @@ use unicert::corpus::variants::{generate_pairs, VariantStrategy};
 use unicert::unicode::classify::visualize;
 use unicert_bench::table;
 
+const USAGE: &str = "usage: table3_variants [--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &[]);
     let _telemetry = unicert_bench::telemetry_args();
     let mut rng = SmallRng::seed_from_u64(42);
     let bases = [

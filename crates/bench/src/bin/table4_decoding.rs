@@ -8,7 +8,10 @@ use unicert::asn1::StringKind;
 use unicert::parsers::{all_profiles, infer, Field, Inference};
 use unicert_bench::table;
 
+const USAGE: &str = "usage: table4_decoding [--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &[]);
     let _telemetry = unicert_bench::telemetry_args();
     let profiles = all_profiles();
     let scenarios: [(&str, StringKind, Field); 5] = [

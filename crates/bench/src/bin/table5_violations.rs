@@ -9,7 +9,10 @@ use unicert::parsers::{all_profiles, escaping, Field};
 use unicert::x509::EscapingStandard;
 use unicert_bench::table;
 
+const USAGE: &str = "usage: table5_violations [--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &[]);
     let _telemetry = unicert_bench::telemetry_args();
     let profiles = all_profiles();
     let mut headers: Vec<&str> = vec!["Standard violation"];

@@ -12,7 +12,10 @@ fn tick(b: bool) -> &'static str {
     }
 }
 
+const USAGE: &str = "usage: table6_monitors [--metrics-out <path>] [--trace-out <path>]";
+
 fn main() {
+    unicert_bench::accept_flags(USAGE, &[]);
     let _telemetry = unicert_bench::telemetry_args();
     println!("Table 6 — Monitor capabilities");
     let rows: Vec<Vec<String>> = all_monitors()

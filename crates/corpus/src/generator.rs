@@ -69,28 +69,12 @@ impl CertMeta {
     /// injected/latent channels — which only the generator can know — stay
     /// empty.
     pub fn inferred(cert: &Certificate) -> CertMeta {
-        let issuer_org = cert
-            .tbs
-            .issuer
-            .organization()
-            .or_else(|| cert.tbs.issuer.common_name())
-            .unwrap_or_else(|| "(unknown issuer)".to_string());
-        CertMeta {
-            issuer_org,
-            trust: TrustStatus::Untrusted,
-            issued: cert.tbs.validity.not_before,
-            validity_days: cert.tbs.validity.period_days(),
-            is_idn_cert: false,
-            injected: None,
-            latent: false,
-            is_precert: cert.tbs.is_precertificate(),
-        }
+        Self::inferred_view(&cert.view())
     }
 
-    /// [`CertMeta::inferred`] over the zero-copy [`CertView`]: identical
-    /// field values for the same DER, no owned tree materialized. The
-    /// survey's borrowed hot path relies on this equivalence for its
-    /// byte-identical-reports invariant.
+    /// [`CertMeta::inferred`] over the zero-copy [`CertView`], which it
+    /// delegates to: the survey's borrowed hot path calls this directly,
+    /// with no owned tree materialized.
     pub fn inferred_view(view: &CertView<'_>) -> CertMeta {
         let issuer_org = view
             .issuer

@@ -8,8 +8,8 @@
 //! is computed lazily on first use and memoized for the rest of the
 //! certificate's analysis.
 //!
-//! Memoization is invalidation-free by construction — the context borrows an
-//! immutable [`Certificate`] and nothing mutates it during a run, so a cached
+//! Memoization is invalidation-free by construction — the context reads an
+//! immutable [`CertView`] and nothing mutates it during a run, so a cached
 //! value can never go stale. The context is intentionally `!Send`/`!Sync`
 //! (plain `OnceCell`/`RefCell`/`Rc`, no atomics): the sharded survey pipeline
 //! builds one context per certificate *inside* a worker, so cross-thread
@@ -33,9 +33,7 @@ use unicert_idna::label::{has_ace_prefix, validate_ldh, ALabelStatus, LabelError
 use unicert_idna::punycode;
 use unicert_unicode::nfc;
 use unicert_x509::extensions::{parse_extension_value, ParsedExtension, PolicyQualifier};
-use unicert_x509::{
-    CertSpans, CertView, Certificate, DistinguishedName, GeneralName, RawValue, Validity,
-};
+use unicert_x509::{CertSpans, CertView, Certificate, GeneralName, RawValue, Validity};
 
 /// Hit/miss tally for one cached field family.
 #[derive(Debug, Default)]
@@ -336,15 +334,17 @@ fn decode_payload_lowercased(payload: &str) -> Option<String> {
     }
 }
 
-/// Where the certificate under analysis lives: the owned model or the
-/// zero-copy borrowed view. Every context accessor reads through this, so
-/// the whole catalog, the classify stage, and the field matrix run
-/// unchanged on either representation.
-enum Source<'c> {
-    /// The owned [`Certificate`] model (build/encode/evidence paths).
-    Owned(&'c Certificate),
-    /// The borrowed [`CertView`] (the survey hot path).
-    View(&'c CertView<'c>),
+/// The [`CertView`] under analysis: borrowed from the caller (the survey
+/// hot path decodes one) or built by the context from an owned
+/// [`Certificate`] ([`Certificate::view`], no re-parse). Either way every
+/// accessor reads the same representation.
+///
+/// A plain enum rather than `Cow`: `Cow<'c, CertView<'c>>` would make the
+/// context invariant in `'c`. The built view is boxed to keep both
+/// variants pointer-sized.
+enum Held<'c> {
+    Borrowed(&'c CertView<'c>),
+    Built(Box<CertView<'c>>),
 }
 
 /// The memoized per-certificate analysis context.
@@ -355,13 +355,9 @@ enum Source<'c> {
 /// a certificate with no SAN never pays for SAN parsing, and a lint that
 /// never runs never triggers its inputs.
 pub struct LintContext<'c> {
-    source: Source<'c>,
-    /// Owned materialization of a view source, built only if a consumer
-    /// insists on `&Certificate` (off the hot path; lints use the typed
-    /// accessors instead).
-    owned: OnceCell<Box<Certificate>>,
+    held: Held<'c>,
     stats: Rc<CacheStats>,
-    /// Parse results parallel to `cert.tbs.extensions` (`None` = malformed
+    /// Parse results parallel to the view's extensions (`None` = malformed
     /// body). Iterating *all* entries preserves duplicate-extension
     /// semantics for the classify stage; the first-matching-OID scan
     /// preserves `TbsCertificate::extension` semantics for the lints.
@@ -387,7 +383,7 @@ pub struct LintContext<'c> {
 impl<'c> LintContext<'c> {
     /// A fresh (everything-lazy) context for one certificate.
     pub fn new(cert: &'c Certificate) -> LintContext<'c> {
-        Self::build(Source::Owned(cert), None)
+        Self::build(Held::Built(Box::new(cert.view())), None)
     }
 
     /// A fresh context over a zero-copy [`CertView`]: the survey hot path.
@@ -395,7 +391,7 @@ impl<'c> LintContext<'c> {
     /// parse of the same DER; evidence capture is not available here (use
     /// the owned constructor for evidence runs).
     pub fn from_view(view: &'c CertView<'c>) -> LintContext<'c> {
-        Self::build(Source::View(view), None)
+        Self::build(Held::Borrowed(view), None)
     }
 
     /// A context that additionally captures byte-range provenance: the
@@ -409,13 +405,12 @@ impl<'c> LintContext<'c> {
             spans: CertSpans::capture(&cert.raw).ok(),
             touched: Rc::new(RefCell::new(Vec::new())),
         };
-        Self::build(Source::Owned(cert), Some(state))
+        Self::build(Held::Built(Box::new(cert.view())), Some(state))
     }
 
-    fn build(source: Source<'c>, evidence: Option<EvidenceState>) -> LintContext<'c> {
+    fn build(held: Held<'c>, evidence: Option<EvidenceState>) -> LintContext<'c> {
         LintContext {
-            source,
-            owned: OnceCell::new(),
+            held,
             stats: Rc::new(CacheStats::default()),
             parsed_exts: OnceCell::new(),
             subject: OnceCell::new(),
@@ -436,48 +431,33 @@ impl<'c> LintContext<'c> {
         }
     }
 
-    /// The certificate under analysis, as the owned model. For an owned
-    /// source this is free; for a view source the owned tree is
-    /// materialized once and cached (off the hot path — prefer the typed
-    /// accessors below, which read the view directly).
-    pub fn cert(&self) -> &Certificate {
-        match self.source {
-            Source::Owned(cert) => cert,
-            Source::View(view) => self.owned.get_or_init(|| Box::new(view.to_owned())),
+    /// The certificate under analysis.
+    fn view(&self) -> &CertView<'c> {
+        match &self.held {
+            Held::Borrowed(view) => view,
+            Held::Built(view) => view,
         }
     }
 
     /// Length of the raw certificate DER (whole-certificate span fallback).
     fn raw_len(&self) -> usize {
-        match self.source {
-            Source::Owned(cert) => cert.raw.len(),
-            Source::View(view) => view.raw.len(),
-        }
+        self.view().raw.len()
     }
 
     /// The serial number magnitude.
     pub fn serial(&self) -> &[u8] {
-        match self.source {
-            Source::Owned(cert) => &cert.tbs.serial,
-            Source::View(view) => view.serial,
-        }
+        self.view().serial
     }
 
     /// The validity window.
     pub fn validity(&self) -> &Validity {
-        match self.source {
-            Source::Owned(cert) => &cert.tbs.validity,
-            Source::View(view) => &view.validity,
-        }
+        &self.view().validity
     }
 
     /// Index of the first extension carrying `oid`, in wire order — the
     /// extension `TbsCertificate::extension` selects.
     pub fn extension_position(&self, oid: &Oid) -> Option<usize> {
-        match self.source {
-            Source::Owned(cert) => cert.tbs.extensions.iter().position(|e| &e.oid == oid),
-            Source::View(view) => view.extensions.iter().position(|e| &e.oid == oid),
-        }
+        self.view().extensions.iter().position(|e| &e.oid == oid)
     }
 
     /// Is an extension with `oid` present?
@@ -494,24 +474,15 @@ impl<'c> LintContext<'c> {
     /// present.
     pub fn extension_critical(&self, oid: &Oid) -> Option<bool> {
         let idx = self.extension_position(oid)?;
-        match self.source {
-            Source::Owned(cert) => cert.tbs.extensions.get(idx).map(|e| e.critical),
-            Source::View(view) => view.extensions.get(idx).map(|e| e.critical),
-        }
+        self.view().extensions.get(idx).map(|e| e.critical)
     }
 
     /// True if the DN has no RDNs (an "empty subject"). Distinct from
     /// having no *attributes*: an RDN with an empty SET still counts.
     pub fn dn_is_empty(&self, which: Which) -> bool {
-        match self.source {
-            Source::Owned(cert) => match which {
-                Which::Subject => cert.tbs.subject.is_empty(),
-                Which::Issuer => cert.tbs.issuer.is_empty(),
-            },
-            Source::View(view) => match which {
-                Which::Subject => view.subject.is_empty(),
-                Which::Issuer => view.issuer.is_empty(),
-            },
+        match which {
+            Which::Subject => self.view().subject.is_empty(),
+            Which::Issuer => self.view().issuer.is_empty(),
         }
     }
 
@@ -658,17 +629,6 @@ impl<'c> LintContext<'c> {
 
     // --- DNs ------------------------------------------------------------
 
-    /// Select a DN as the owned model (materializes a view source —
-    /// prefer [`LintContext::dn_attrs`] and the typed DN accessors, which
-    /// read either source directly).
-    pub fn dn(&self, which: Which) -> &DistinguishedName {
-        let cert = self.cert();
-        match which {
-            Which::Subject => &cert.tbs.subject,
-            Which::Issuer => &cert.tbs.issuer,
-        }
-    }
-
     /// All attributes of a DN in wire order, with cached values.
     pub fn dn_attrs(&self, which: Which) -> &[DnAttr] {
         let cell = match which {
@@ -676,33 +636,18 @@ impl<'c> LintContext<'c> {
             Which::Issuer => &self.issuer,
         };
         self.stats.dn_text.touch(cell.get().is_some());
-        cell.get_or_init(|| match self.source {
-            Source::Owned(cert) => {
-                let dn = match which {
-                    Which::Subject => &cert.tbs.subject,
-                    Which::Issuer => &cert.tbs.issuer,
-                };
-                dn.attributes()
-                    .enumerate()
-                    .map(|(i, a)| DnAttr {
-                        oid: a.oid.clone(),
-                        val: self.cached_dn(a.value.clone(), which, i),
-                    })
-                    .collect()
-            }
-            Source::View(view) => {
-                let dn = match which {
-                    Which::Subject => &view.subject,
-                    Which::Issuer => &view.issuer,
-                };
-                dn.attributes()
-                    .enumerate()
-                    .map(|(i, a)| DnAttr {
-                        oid: a.oid.clone(),
-                        val: self.cached_dn(a.raw_value(), which, i),
-                    })
-                    .collect()
-            }
+        cell.get_or_init(|| {
+            let dn = match which {
+                Which::Subject => &self.view().subject,
+                Which::Issuer => &self.view().issuer,
+            };
+            dn.attributes()
+                .enumerate()
+                .map(|(i, a)| DnAttr {
+                    oid: a.oid.clone(),
+                    val: self.cached_dn(a.raw_value(), which, i),
+                })
+                .collect()
         })
     }
 
@@ -714,17 +659,16 @@ impl<'c> LintContext<'c> {
 
     // --- Extensions -----------------------------------------------------
 
-    /// Parse results for every extension, parallel to
-    /// `cert.tbs.extensions`; `None` marks a malformed body.
+    /// Parse results for every extension, parallel to the certificate's
+    /// extension list; `None` marks a malformed body.
     pub fn parsed_extensions(&self) -> &[Option<ParsedExtension>] {
         self.stats.san.touch(self.parsed_exts.get().is_some());
-        self.parsed_exts.get_or_init(|| match self.source {
-            Source::Owned(cert) => cert.tbs.extensions.iter().map(|e| e.parse().ok()).collect(),
-            Source::View(view) => view
+        self.parsed_exts.get_or_init(|| {
+            self.view()
                 .extensions
                 .iter()
                 .map(|e| parse_extension_value(&e.oid, e.value).ok())
-                .collect(),
+                .collect()
         })
     }
 

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use unicert_asn1::{ParseBudget, StringKind};
-use unicert_x509::{CertView, Certificate, GeneralName, ParsedExtension, RawValue};
+use unicert_x509::{reference, CertView, Certificate, GeneralName, ParsedExtension, RawValue};
 
 use crate::context::{Field, ParseOutcome};
 use crate::profiles::{all_profiles, LibraryProfile};
@@ -278,8 +278,9 @@ pub fn run_class_sharded(
 }
 
 /// Result of replaying one batch through both of this codebase's own
-/// certificate decoders — the owned [`Certificate`] parser and the
-/// zero-copy [`CertView`] parser (the borrowed-vs-owned oracle).
+/// certificate decoders — the eager reference decoder
+/// ([`unicert_x509::reference`]) and the zero-copy [`CertView`] decoder
+/// every analysis path uses (the view-vs-reference oracle).
 ///
 /// The two parsers are specified to be *byte-identical observers*: on
 /// every input they must either both accept (producing structurally equal
@@ -327,17 +328,18 @@ impl OracleReport {
     }
 }
 
-/// Replay `ders` through the owned and borrowed certificate parsers and
-/// report where they disagree. Both parses run under the same budget
-/// limits and a panic guard; an accepted view is materialized with
+/// Replay `ders` through the reference decoder and the [`CertView`]
+/// decoder and report where they disagree. Both parses run under the same
+/// budget limits and a panic guard; an accepted view is materialized with
 /// [`CertView::to_owned`] so the comparison covers the whole tree, not
-/// just the accept/reject bit.
+/// just the accept/reject bit. ([`Certificate::parse_der_budgeted`] is the
+/// view decode itself, so it cannot stand in for the reference.)
 pub fn run_oracle(label: &str, ders: &[Vec<u8>], budget: &ParseBudget) -> OracleReport {
     let mut report = OracleReport { label: label.to_owned(), ..OracleReport::default() };
     report.inputs = ders.len();
     for (i, der) in ders.iter().enumerate() {
         let owned =
-            catch_unwind(AssertUnwindSafe(|| Certificate::parse_der_budgeted(der, budget)));
+            catch_unwind(AssertUnwindSafe(|| reference::parse_der(der, Some(budget))));
         let viewed = catch_unwind(AssertUnwindSafe(|| {
             let state = budget.start();
             CertView::parse_der_budgeted(der, &state).map(|v| v.to_owned())
@@ -359,10 +361,10 @@ pub fn run_oracle(label: &str, ders: &[Vec<u8>], budget: &ParseBudget) -> Oracle
                 continue;
             }
             (Ok(_), Ok(_)) => format!("input #{i}: both accept but trees differ"),
-            (Ok(_), Err(ev)) => format!("input #{i}: owned accepts, view rejects ({ev:?})"),
-            (Err(eo), Ok(_)) => format!("input #{i}: view accepts, owned rejects ({eo:?})"),
+            (Ok(_), Err(ev)) => format!("input #{i}: reference accepts, view rejects ({ev:?})"),
+            (Err(eo), Ok(_)) => format!("input #{i}: view accepts, reference rejects ({eo:?})"),
             (Err(eo), Err(ev)) => {
-                format!("input #{i}: errors differ (owned {eo:?}, view {ev:?})")
+                format!("input #{i}: errors differ (reference {eo:?}, view {ev:?})")
             }
         };
         report.disagreed += 1;

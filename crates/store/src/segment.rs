@@ -108,11 +108,11 @@ pub fn decode_segment(
 /// every certificate parses — but the returned records *borrow* their DER
 /// from `data` instead of copying it into an owned [`Certificate`].
 ///
-/// The parse proof runs through [`CertView`], whose error values are
-/// byte-identical to the owned parser on the same input, so a segment
-/// classifies exactly the same through either decoder. This is the survey
-/// resume path's decoder: a shard is validated once, then linted straight
-/// out of its read buffer.
+/// The parse proof runs through [`CertView`] — the same decode
+/// [`Certificate::parse_der_budgeted`] performs before copying — so a
+/// segment classifies exactly the same through either function. This is
+/// the survey resume path's decoder: a shard is validated once, then
+/// linted straight out of its read buffer.
 pub fn decode_segment_records<'a>(
     data: &'a [u8],
     expected_index: usize,

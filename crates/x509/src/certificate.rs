@@ -3,11 +3,10 @@
 use crate::extensions::{Extension, ParsedExtension};
 use crate::general_name::GeneralName;
 use crate::name::DistinguishedName;
+use crate::view::{AlgorithmIdentifierView, CertView, ExtensionView, SpkiView};
 use unicert_asn1::oid::known;
 use unicert_asn1::tag::{tags, Tag};
-use unicert_asn1::{
-    BitString, BudgetState, DateTime, Error, Oid, ParseBudget, Reader, Result, TimeKind, Writer,
-};
+use unicert_asn1::{BitString, DateTime, Oid, ParseBudget, Result, TimeKind, Writer};
 
 /// `AlgorithmIdentifier ::= SEQUENCE { algorithm OID, parameters ANY }`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,17 +28,12 @@ impl AlgorithmIdentifier {
         AlgorithmIdentifier { algorithm: known::sim_public_key(), parameters: Some(vec![0x05, 0x00]) }
     }
 
-    fn parse(r: &mut Reader<'_>) -> Result<AlgorithmIdentifier> {
-        r.read_sequence(|seq| {
-            let oid = seq.read_expected(tags::OBJECT_IDENTIFIER)?;
-            let algorithm = Oid::from_der_value(oid.value)?;
-            let parameters = if seq.is_empty() {
-                None
-            } else {
-                Some(seq.read_tlv()?.raw.to_vec())
-            };
-            Ok(AlgorithmIdentifier { algorithm, parameters })
-        })
+    /// Borrow as a view (the inverse of [`AlgorithmIdentifierView::to_owned`]).
+    fn view(&self) -> AlgorithmIdentifierView<'_> {
+        AlgorithmIdentifierView {
+            algorithm: self.algorithm.clone(),
+            parameters: self.parameters.as_deref(),
+        }
     }
 
     fn write_to(&self, w: &mut Writer) {
@@ -96,17 +90,6 @@ fn kind_for(dt: &DateTime) -> TimeKind {
     }
 }
 
-fn parse_time(r: &mut Reader<'_>) -> Result<(DateTime, TimeKind)> {
-    let tlv = r.read_tlv()?;
-    match tlv.tag {
-        t if t == tags::UTC_TIME => Ok((DateTime::from_utc_time(tlv.value)?, TimeKind::Utc)),
-        t if t == tags::GENERALIZED_TIME => {
-            Ok((DateTime::from_generalized(tlv.value)?, TimeKind::Generalized))
-        }
-        found => Err(Error::TagMismatch { expected: tags::UTC_TIME, found }),
-    }
-}
-
 /// `SubjectPublicKeyInfo`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubjectPublicKeyInfo {
@@ -154,64 +137,6 @@ pub struct Certificate {
 }
 
 impl TbsCertificate {
-    fn parse(r: &mut Reader<'_>) -> Result<TbsCertificate> {
-        r.read_sequence(|tbs| {
-            // version [0] EXPLICIT, DEFAULT v1.
-            let version = match tbs.read_optional(Tag::context_constructed(0))? {
-                Some(v) => {
-                    let mut c = v.contents();
-                    let i = c.read_expected(tags::INTEGER)?;
-                    c.finish()?;
-                    unicert_asn1::integer::decode_u64(i.value)?
-                }
-                None => 0,
-            };
-            let serial_tlv = tbs.read_expected(tags::INTEGER)?;
-            let serial = unicert_asn1::integer::unsigned_magnitude(serial_tlv.value)?.to_vec();
-            let signature_algorithm = AlgorithmIdentifier::parse(tbs)?;
-            let issuer = DistinguishedName::parse(tbs)?;
-            let validity = tbs.read_sequence(|v| {
-                let (not_before, not_before_kind) = parse_time(v)?;
-                let (not_after, not_after_kind) = parse_time(v)?;
-                Ok(Validity { not_before, not_after, not_before_kind, not_after_kind })
-            })?;
-            let subject = DistinguishedName::parse(tbs)?;
-            let spki = tbs.read_sequence(|s| {
-                let algorithm = AlgorithmIdentifier::parse(s)?;
-                let bits = s.read_expected(tags::BIT_STRING)?;
-                Ok(SubjectPublicKeyInfo {
-                    algorithm,
-                    public_key: BitString::from_der_value(bits.value)?,
-                })
-            })?;
-            // issuerUniqueID [1], subjectUniqueID [2]: skipped if present.
-            let _ = tbs.read_optional_context(1)?;
-            let _ = tbs.read_optional_context(2)?;
-            // extensions [3] EXPLICIT.
-            let mut extensions = Vec::new();
-            if let Some(exts) = tbs.read_optional(Tag::context_constructed(3))? {
-                let mut c = exts.contents();
-                c.read_sequence(|list| {
-                    while !list.is_empty() {
-                        extensions.push(parse_extension(list)?);
-                    }
-                    Ok(())
-                })?;
-                c.finish()?;
-            }
-            Ok(TbsCertificate {
-                version,
-                serial,
-                signature_algorithm,
-                issuer,
-                validity,
-                subject,
-                spki,
-                extensions,
-            })
-        })
-    }
-
     /// Encode to DER.
     pub fn to_der(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -285,20 +210,6 @@ fn write_time(w: &mut Writer, dt: &DateTime, kind: TimeKind) {
     }
 }
 
-fn parse_extension(list: &mut Reader<'_>) -> Result<Extension> {
-    list.read_sequence(|e| {
-        let oid_tlv = e.read_expected(tags::OBJECT_IDENTIFIER)?;
-        let oid = Oid::from_der_value(oid_tlv.value)?;
-        let mut critical = false;
-        if e.peek_tag() == Some(tags::BOOLEAN) {
-            let b = e.read_tlv()?;
-            critical = b.value == [0xFF];
-        }
-        let value_tlv = e.read_expected(tags::OCTET_STRING)?;
-        Ok(Extension { oid, critical, value: value_tlv.value.to_vec() })
-    })
-}
-
 fn write_extension(w: &mut Writer, ext: &Extension) {
     w.write_sequence(|w| {
         w.write_oid(&ext.oid);
@@ -310,9 +221,10 @@ fn write_extension(w: &mut Writer, ext: &Extension) {
 }
 
 impl Certificate {
-    /// Parse a complete certificate from DER.
+    /// Parse a complete certificate from DER: the [`CertView`] decode,
+    /// copied into the owned model.
     pub fn parse_der(der: &[u8]) -> Result<Certificate> {
-        Self::parse_with(der, None)
+        CertView::parse_der(der).map(|v| v.to_owned())
     }
 
     /// Parse a complete certificate from DER with hard resource limits.
@@ -322,37 +234,46 @@ impl Certificate {
     /// element decoded anywhere in the certificate (the outer shell, the
     /// re-parsed TBS, extensions) is charged against the cumulative
     /// element/byte budgets. Exceeding any limit fails the parse with
-    /// [`unicert_asn1::Error::BudgetExceeded`].
+    /// [`unicert_asn1::Error::BudgetExceeded`]. The decode is
+    /// [`CertView::parse_der_budgeted`], copied into the owned model.
     pub fn parse_der_budgeted(der: &[u8], budget: &ParseBudget) -> Result<Certificate> {
-        budget.admit(der)?;
         let state = budget.start();
-        Self::parse_with(der, Some(&state))
+        CertView::parse_der_budgeted(der, &state).map(|v| v.to_owned())
     }
 
-    fn parse_with(der: &[u8], budget: Option<&BudgetState>) -> Result<Certificate> {
-        let mut r = match budget {
-            Some(state) => Reader::with_budget(der, state),
-            None => Reader::new(der),
-        };
-        let cert = r.read_sequence(|c| {
-            let tbs_start_remaining = c.remaining();
-            // Peek the raw TBS bytes: read the TLV, then re-parse it.
-            let tbs_tlv = c.read_expected(tags::SEQUENCE)?;
-            let raw_tbs = tbs_tlv.raw.to_vec();
-            let mut tbs_reader = match budget {
-                Some(state) => Reader::with_budget(tbs_tlv.raw, state),
-                None => Reader::new(tbs_tlv.raw),
-            };
-            let tbs = TbsCertificate::parse(&mut tbs_reader)?;
-            tbs_reader.finish()?;
-            let _ = tbs_start_remaining;
-            let signature_algorithm = AlgorithmIdentifier::parse(c)?;
-            let sig_tlv = c.read_expected(tags::BIT_STRING)?;
-            let signature = BitString::from_der_value(sig_tlv.value)?;
-            Ok(Certificate { tbs, signature_algorithm, signature, raw_tbs, raw: der.to_vec() })
-        })?;
-        r.finish()?;
-        Ok(cert)
+    /// Borrow this certificate as a [`CertView`]: every slice points into
+    /// the owned fields. Infallible and parse-free — the exact inverse of
+    /// [`CertView::to_owned`]. Like the struct itself, the view reflects
+    /// the fields as they are, even where they no longer match `raw`.
+    pub fn view(&self) -> CertView<'_> {
+        let tbs = &self.tbs;
+        CertView {
+            version: tbs.version,
+            serial: &tbs.serial,
+            tbs_signature_algorithm: tbs.signature_algorithm.view(),
+            issuer: tbs.issuer.view(),
+            validity: tbs.validity.clone(),
+            subject: tbs.subject.view(),
+            spki: SpkiView {
+                algorithm: tbs.spki.algorithm.view(),
+                public_key_unused_bits: tbs.spki.public_key.unused_bits,
+                public_key: &tbs.spki.public_key.bytes,
+            },
+            extensions: tbs
+                .extensions
+                .iter()
+                .map(|e| ExtensionView {
+                    oid: e.oid.clone(),
+                    critical: e.critical,
+                    value: &e.value,
+                })
+                .collect(),
+            signature_algorithm: self.signature_algorithm.view(),
+            signature_unused_bits: self.signature.unused_bits,
+            signature: &self.signature.bytes,
+            raw_tbs: &self.raw_tbs,
+            raw: &self.raw,
+        }
     }
 
     /// Encode to DER (reconstructs from the model, not `raw`).
@@ -372,6 +293,7 @@ mod tests {
     use super::*;
     use crate::builder::CertificateBuilder;
     use crate::sign::SimKey;
+    use unicert_asn1::Error;
 
     fn sample() -> Certificate {
         CertificateBuilder::new()
@@ -472,6 +394,23 @@ mod tests {
         assert!(matches!(err, Error::UnexpectedEof { .. }), "{err:?}");
         let err = Certificate::parse_der_budgeted(&der, &ParseBudget::default()).unwrap_err();
         assert!(matches!(err, Error::UnexpectedEof { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn view_round_trips_the_fields_even_when_raw_disagrees() {
+        // Owned contexts read the struct fields, not `raw`: a certificate
+        // edited after parsing (here a different serial and an extra
+        // extension over the original bytes) keeps its edits through the
+        // view and back.
+        let mut cert = sample();
+        cert.tbs.serial = vec![0x7F; 20];
+        cert.tbs.extensions.push(crate::extensions::ct_poison());
+        assert_ne!(cert.tbs.to_der(), cert.raw_tbs);
+        let view = cert.view();
+        assert_eq!(view.serial, &cert.tbs.serial[..]);
+        assert!(view.is_precertificate());
+        assert_eq!(view.raw, &cert.raw[..]);
+        assert_eq!(view.to_owned(), cert);
     }
 
     #[test]

@@ -19,6 +19,7 @@ pub mod general_name;
 pub mod name;
 pub mod name_constraints;
 pub mod pem;
+pub mod reference;
 pub mod sha256;
 pub mod sign;
 pub mod spans;

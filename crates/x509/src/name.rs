@@ -2,6 +2,7 @@
 //! `RelativeDistinguishedName ::= SET OF AttributeTypeAndValue`.
 
 use crate::value::RawValue;
+use crate::view::{AttrView, DnView, RdnView};
 use unicert_asn1::oid::known;
 use unicert_asn1::tag::Class;
 use unicert_asn1::{Error, Oid, Reader, Result, StringKind, Writer};
@@ -105,6 +106,28 @@ impl DistinguishedName {
     /// True if the DN has no RDNs (an "empty subject").
     pub fn is_empty(&self) -> bool {
         self.rdns.is_empty()
+    }
+
+    /// Borrow as a [`DnView`] whose value slices point into this name's
+    /// owned bytes (the inverse of [`DnView::to_owned`]).
+    pub fn view(&self) -> DnView<'_> {
+        DnView {
+            rdns: self
+                .rdns
+                .iter()
+                .map(|rdn| RdnView {
+                    attributes: rdn
+                        .attributes
+                        .iter()
+                        .map(|a| AttrView {
+                            oid: a.oid.clone(),
+                            tag_number: a.value.tag_number,
+                            value: &a.value.bytes,
+                        })
+                        .collect(),
+                })
+                .collect(),
+        }
     }
 
     /// Parse from the contents of a `Name` (the outer SEQUENCE TLV).

@@ -9,8 +9,9 @@
 //! its inner value — the GeneralNames of a SAN, the AccessDescriptions of
 //! an AIA, and so on).
 //!
-//! This walk is *separate* from [`Certificate::parse_der`] on purpose: the
-//! hot survey path never pays for provenance. Evidence capture
+//! This walk is *separate* from the certificate decoder
+//! ([`CertView`](crate::CertView), which [`Certificate::parse_der`] wraps)
+//! on purpose: the hot survey path never pays for provenance. Evidence capture
 //! (`unicert_lint::context`) runs it only when a caller asks for explained
 //! findings, and the `explain` bin renders its output as an annotated hex
 //! dump. All spans are zero-copy `(offset, len)` pairs indexing the DER

@@ -1,4 +1,4 @@
-//! Zero-copy certificate view: the borrowed twin of [`Certificate`].
+//! Zero-copy certificate view: the workspace's certificate decoder.
 //!
 //! [`CertView`] parses a DER certificate without copying any byte range out
 //! of the input buffer. Where [`Certificate`] owns `Vec<u8>`s (serial,
@@ -7,19 +7,23 @@
 //! survey over a million certificates performs no per-field allocation on
 //! the decode path. Small fixed-size values that the survey touches for
 //! every certificate — version, [`Validity`], OIDs (inline up to 22 octets)
-//! — are decoded eagerly, exactly as the owned parser does.
+//! — are decoded eagerly.
 //!
-//! The parse walk is a line-for-line mirror of `Certificate::parse_with`:
-//! the same `Reader` calls in the same order, the same budget charging, the
-//! same validation (BIT STRING padding, INTEGER minimality, DN tag-class
-//! checks). A buffer that fails to parse as a `Certificate` fails to parse
-//! as a `CertView` with the *same* [`Error`], and vice versa — the
-//! equivalence suite in `tests/` holds this across golden, malformed, and
-//! chaos-mutated vectors.
+//! Every analysis path decodes through this module: the survey and store
+//! decode views directly, and [`Certificate::parse_der`] /
+//! [`Certificate::parse_der_budgeted`] are this parse followed by
+//! [`CertView::to_owned`]. The walk validates as the owned model requires
+//! (BIT STRING padding, INTEGER minimality, DN tag-class checks) and
+//! charges every TLV against the caller's budget. The independent eager
+//! decoder in [`crate::reference`] is kept as the differential oracle's
+//! reference: the equivalence suite in `tests/` holds that both accept the
+//! same inputs with equal trees, and reject the rest with the *same*
+//! [`Error`], across golden, malformed, and chaos-mutated vectors.
 //!
-//! [`CertView::to_owned`] bridges back to the owned model for the
-//! build/encode/chain side of the workspace, which stays on
-//! [`Certificate`].
+//! [`Certificate::view`] borrows an owned certificate as a view, so lint
+//! analysis reads one representation whichever side the certificate came
+//! from; [`CertView::to_owned`] bridges back to the owned model for the
+//! build/encode/chain side of the workspace.
 
 use crate::extensions::{parse_extension_value, Extension, ParsedExtension};
 use crate::name::{AttributeTypeAndValue, DistinguishedName, Rdn};
@@ -303,14 +307,16 @@ impl<'a> CertView<'a> {
         Self::parse_with(der, None)
     }
 
-    /// [`CertView::parse_der`] under the same hard resource limits as
-    /// `Certificate::parse_der_budgeted`: input admission plus cumulative
-    /// element/byte budgets over every decoded TLV.
+    /// [`CertView::parse_der`] under hard resource limits: input admission
+    /// against `max_input`, then cumulative element/byte budgets over every
+    /// decoded TLV. [`Certificate::parse_der_budgeted`] is this parse plus
+    /// [`CertView::to_owned`].
     ///
     /// The caller supplies the started [`BudgetState`] (via
     /// [`ParseBudget::start`]) and must keep it alive as long as the view:
     /// the view's borrows thread through the budgeted reader. Charging and
-    /// error order are identical to the owned parser's.
+    /// error order match the reference decoder's
+    /// ([`crate::reference::parse_der`]).
     pub fn parse_der_budgeted(der: &'a [u8], state: &'a BudgetState) -> Result<CertView<'a>> {
         state.admit(der)?;
         Self::parse_with(der, Some(state))
@@ -363,9 +369,11 @@ impl<'a> CertView<'a> {
         self.extension(&known::ct_poison()).is_some()
     }
 
-    /// Copy everything into the owned model. The result is
-    /// field-for-field identical to `Certificate::parse_der(self.raw)` —
-    /// the equivalence suite asserts this.
+    /// Copy everything into the owned model; the inverse of
+    /// [`Certificate::view`]. For a parsed view the result is
+    /// field-for-field identical to the reference decoder's
+    /// ([`crate::reference::parse_der`]) on `self.raw` — the equivalence
+    /// suite asserts this.
     pub fn to_owned(&self) -> Certificate {
         Certificate {
             tbs: TbsCertificate {
@@ -389,8 +397,8 @@ impl<'a> CertView<'a> {
     }
 }
 
-/// The TBS fields, bundled so `parse_with` stays shaped like the owned
-/// parser.
+/// The TBS fields, bundled so `parse_with` builds the [`CertView`] in one
+/// place.
 struct TbsFields<'a> {
     version: u64,
     serial: &'a [u8],
@@ -465,6 +473,7 @@ impl<'a> TbsFields<'a> {
 mod tests {
     use super::*;
     use crate::builder::CertificateBuilder;
+    use crate::reference;
     use crate::sign::SimKey;
     use unicert_asn1::ParseBudget;
 
@@ -511,7 +520,7 @@ mod tests {
         let cert = sample();
         // Truncations.
         for cut in [1, 10, cert.raw.len() / 2, cert.raw.len() - 1] {
-            let owned = Certificate::parse_der(&cert.raw[..cut]).unwrap_err();
+            let owned = reference::parse_der(&cert.raw[..cut], None).unwrap_err();
             let view = CertView::parse_der(&cert.raw[..cut]).unwrap_err();
             assert_eq!(owned, view, "cut={cut}");
         }
@@ -519,7 +528,7 @@ mod tests {
         let mut der = cert.raw.clone();
         der.push(0x00);
         assert_eq!(
-            Certificate::parse_der(&der).unwrap_err(),
+            reference::parse_der(&der, None).unwrap_err(),
             CertView::parse_der(&der).unwrap_err()
         );
     }
@@ -529,18 +538,18 @@ mod tests {
         let cert = sample();
         let state = ParseBudget::default().start();
         let view = CertView::parse_der_budgeted(&cert.raw, &state).unwrap();
-        assert_eq!(view.to_owned().tbs, cert.tbs);
+        let owned = reference::parse_der(&cert.raw, Some(&ParseBudget::default())).unwrap();
+        assert_eq!(view.to_owned(), owned);
 
-        let tiny = ParseBudget { max_input: 16, ..ParseBudget::default() }.start();
-        assert_eq!(
-            CertView::parse_der_budgeted(&cert.raw, &tiny).unwrap_err(),
-            Error::BudgetExceeded { resource: "input_bytes" }
-        );
-        let few = ParseBudget { max_elements: 4, ..ParseBudget::default() }.start();
-        assert_eq!(
-            CertView::parse_der_budgeted(&cert.raw, &few).unwrap_err(),
-            Error::BudgetExceeded { resource: "elements" }
-        );
+        for (limits, resource) in [
+            (ParseBudget { max_input: 16, ..ParseBudget::default() }, "input_bytes"),
+            (ParseBudget { max_elements: 4, ..ParseBudget::default() }, "elements"),
+        ] {
+            let state = limits.start();
+            let view = CertView::parse_der_budgeted(&cert.raw, &state).unwrap_err();
+            assert_eq!(view, Error::BudgetExceeded { resource });
+            assert_eq!(view, reference::parse_der(&cert.raw, Some(&limits)).unwrap_err());
+        }
     }
 
     #[test]

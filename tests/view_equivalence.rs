@@ -1,11 +1,14 @@
-//! Owned-vs-borrowed equivalence suite: [`CertView`] is a pure
-//! representation change.
+//! View-vs-reference equivalence suite: [`CertView`] decodes exactly what
+//! the eager reference decoder does.
 //!
-//! The zero-copy parse path must be *observationally identical* to the
-//! owned one — every accessor of a parsed view equals the corresponding
+//! `Certificate::parse_der` is itself the view decode plus a copy, so the
+//! owned side of every comparison here comes from the independent eager
+//! walk in [`reference`]. The view must be *observationally identical* to
+//! it — every accessor of a parsed view equals the corresponding
 //! [`Certificate`] field, rejected inputs fail with the very same
-//! [`Error`] value, and a lint run over a view-backed context produces
-//! findings byte-identical to the owned context. Three layers of evidence:
+//! [`Error`] value, [`Certificate::view`] inverts [`CertView::to_owned`],
+//! and a lint run over a view-backed context produces findings
+//! byte-identical to the owned context. Three layers of evidence:
 //!
 //! - a fixed-seed 10 000-certificate corpus sweep (the survey benchmark's
 //!   generator, latent defects on, precertificates included) checking
@@ -14,7 +17,7 @@
 //! - every committed golden vector (`tests/vectors/webpki` +
 //!   `tests/vectors/bimi`) through the same assertions;
 //! - the committed malformed vectors plus all ten chaos mutation classes
-//!   through the borrowed-vs-owned oracle: same accept/reject decision,
+//!   through the view-vs-reference oracle: same accept/reject decision,
 //!   same error value, same [`Error::class`] on every input.
 //!
 //! Any divergence here means the zero-copy path changed analysis
@@ -24,7 +27,7 @@ use std::path::PathBuf;
 use unicert::corpus::{BimiConfig, BimiGenerator, CorpusConfig, CorpusGenerator};
 use unicert::lint::{default_registry, LintContext, RunOptions};
 use unicert::parsers::differential::run_oracle;
-use unicert::x509::{CertView, Certificate};
+use unicert::x509::{reference, CertView, Certificate};
 use unicert_asn1::{Error, ParseBudget};
 use unicert_chaos::{MutationClass, Mutator};
 
@@ -50,12 +53,12 @@ fn vector_ders(profile: &str) -> Vec<(String, Vec<u8>)> {
     out
 }
 
-/// Assert every accessor of the borrowed view against the owned parse of
-/// the same DER, field by field, then the whole tree at once.
+/// Assert every accessor of the borrowed view against the reference parse
+/// of the same DER, field by field, then the whole tree at once.
 fn assert_view_matches_owned(label: &str, der: &[u8], cert: &Certificate) {
     let state = ParseBudget::default().start();
     let view = CertView::parse_der_budgeted(der, &state)
-        .unwrap_or_else(|e| panic!("{label}: owned parses but view rejects ({e:?})"));
+        .unwrap_or_else(|e| panic!("{label}: reference parses but view rejects ({e:?})"));
 
     // TBS scalars.
     assert_eq!(view.version, cert.tbs.version, "{label}: version");
@@ -132,9 +135,11 @@ fn assert_view_matches_owned(label: &str, der: &[u8], cert: &Certificate) {
     assert_eq!(view.raw_tbs, cert.raw_tbs.as_slice(), "{label}: raw_tbs");
     assert_eq!(view.raw, cert.raw.as_slice(), "{label}: raw");
 
-    // The whole tree at once, through the bridge the survey's lazy
-    // materialization uses.
+    // The whole tree at once, through the bridge `Certificate::parse_der`
+    // uses.
     assert_eq!(&view.to_owned(), cert, "{label}: to_owned tree");
+    // And back: borrowing the owned tree inverts the bridge.
+    assert_eq!(cert.view().to_owned(), *cert, "{label}: view round trip");
 
     // And the end-to-end consumer: a full default-registry run over a
     // view-backed context is byte-identical to the owned context.
@@ -159,7 +164,7 @@ fn seeded_10k_corpus_views_match_owned() {
         // registry run dominates); every certificate still gets the parse
         // and full-tree comparison.
         let der = &entry.cert.raw;
-        let cert = Certificate::parse_der(der).expect("generated cert reparses");
+        let cert = reference::parse_der(der, None).expect("generated cert reparses");
         if i % 100 == 0 {
             assert_view_matches_owned(&format!("corpus[{i}]"), der, &cert);
         } else {
@@ -176,7 +181,7 @@ fn seeded_10k_corpus_views_match_owned() {
 #[test]
 fn golden_webpki_vectors_views_match_owned() {
     for (name, der) in vector_ders("webpki") {
-        let cert = Certificate::parse_der(&der)
+        let cert = reference::parse_der(&der, None)
             .unwrap_or_else(|e| panic!("{name}: golden vector does not parse ({e:?})"));
         assert_view_matches_owned(&name, &der, &cert);
     }
@@ -185,20 +190,20 @@ fn golden_webpki_vectors_views_match_owned() {
 #[test]
 fn golden_bimi_vectors_views_match_owned() {
     for (name, der) in vector_ders("bimi") {
-        let cert = Certificate::parse_der(&der)
+        let cert = reference::parse_der(&der, None)
             .unwrap_or_else(|e| panic!("{name}: golden vector does not parse ({e:?})"));
         assert_view_matches_owned(&name, &der, &cert);
     }
 }
 
-/// Both parsers must reject a malformed input with the *same* error value
+/// Both decoders must reject a malformed input with the *same* error value
 /// (and therefore the same [`Error::class`]).
 #[test]
 fn malformed_vectors_reject_identically() {
     let budget = ParseBudget::default();
     let mut rejected = 0usize;
     for (name, der) in vector_ders("malformed") {
-        let owned = Certificate::parse_der_budgeted(&der, &budget);
+        let owned = reference::parse_der(&der, Some(&budget));
         let state = budget.start();
         let viewed = CertView::parse_der_budgeted(&der, &state);
         match (&owned, &viewed) {
@@ -213,7 +218,7 @@ fn malformed_vectors_reject_identically() {
                 rejected += 1;
             }
             _ => panic!(
-                "{name}: parsers disagree on acceptance (owned {:?}, view {:?})",
+                "{name}: parsers disagree on acceptance (reference {:?}, view {:?})",
                 owned.as_ref().map(|_| ()),
                 viewed.as_ref().map(|_| ())
             ),
@@ -222,9 +227,11 @@ fn malformed_vectors_reject_identically() {
     assert!(rejected > 0, "malformed vectors exercised no rejection at all");
 }
 
-/// All ten chaos mutation classes over a mixed webpki+bimi seed corpus,
-/// through the harness's borrowed-vs-owned oracle: zero disagreements,
-/// zero escaped panics.
+/// The mixed webpki+bimi seed corpus itself, then all ten chaos mutation
+/// classes over it, through the harness's view-vs-reference oracle: zero
+/// disagreements, zero escaped panics. The unmutated batch keeps the
+/// oracle's accept-side comparison exercised on every field: the mutants
+/// that still parse need not carry, say, a critical extension.
 #[test]
 fn chaos_mutants_agree_across_parsers() {
     let seed = 42u64;
@@ -241,18 +248,14 @@ fn chaos_mutants_agree_across_parsers() {
             .map(|e| e.cert.raw),
     );
     let budget = ParseBudget::default();
-    for (class_idx, class) in MutationClass::ALL.into_iter().enumerate() {
+    let mutated = MutationClass::ALL.into_iter().enumerate().map(|(class_idx, class)| {
         let mut mutator = Mutator::new(seed.wrapping_add(class_idx as u64));
-        let hostile: Vec<Vec<u8>> = base.iter().map(|der| mutator.mutate(der, class)).collect();
-        let report = run_oracle(class.label(), &hostile, &budget);
-        assert_eq!(report.escaped_panics, 0, "{}: escaped panics", class.label());
-        assert_eq!(
-            report.disagreed,
-            0,
-            "{}: parsers disagreed: {:?}",
-            class.label(),
-            report.examples
-        );
-        assert_eq!(report.inputs, base.len(), "{}: inputs", class.label());
+        (class.label(), base.iter().map(|der| mutator.mutate(der, class)).collect())
+    });
+    for (label, batch) in std::iter::once(("unmutated", base.clone())).chain(mutated) {
+        let report = run_oracle(label, &batch, &budget);
+        assert_eq!(report.escaped_panics, 0, "{label}: escaped panics");
+        assert_eq!(report.disagreed, 0, "{label}: parsers disagreed: {:?}", report.examples);
+        assert_eq!(report.inputs, base.len(), "{label}: inputs");
     }
 }
