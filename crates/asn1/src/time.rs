@@ -190,16 +190,20 @@ impl fmt::Display for DateTime {
     }
 }
 
-fn digits(s: &str) -> Result<Vec<i32>> {
-    s.bytes()
-        .map(|b| {
-            if b.is_ascii_digit() {
-                Ok((b - b'0') as i32)
-            } else {
-                Err(Error::InvalidTime)
-            }
-        })
-        .collect()
+/// The decimal digits of `s` (callers pass at most 14), in order and
+/// zero-padded to 14; `InvalidTime` on any other byte or a longer input.
+fn digits(s: &str) -> Result<[i32; 14]> {
+    let mut out = [0; 14];
+    if s.len() > out.len() {
+        return Err(Error::InvalidTime);
+    }
+    for (slot, b) in out.iter_mut().zip(s.bytes()) {
+        if !b.is_ascii_digit() {
+            return Err(Error::InvalidTime);
+        }
+        *slot = i32::from(b - b'0');
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

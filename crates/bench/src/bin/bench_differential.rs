@@ -32,35 +32,6 @@ use unicert::survey::{self, SurveyOptions};
 use unicert::telemetry::{self, Stopwatch};
 use unicert_chaos::{MutationClass, Mutator};
 
-/// `--certs N` / `--seed S` (either `=`-joined or space-separated),
-/// composing with the shared telemetry flags.
-fn differential_args() -> (usize, u64) {
-    let mut certs = 2_000usize;
-    let mut seed = 42u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
-            None => (arg, None),
-        };
-        let mut value = || inline.clone().or_else(|| args.next());
-        match flag.as_str() {
-            "--certs" => {
-                if let Some(v) = value().and_then(|v| v.parse().ok()) {
-                    certs = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            _ => {}
-        }
-    }
-    (certs, seed)
-}
-
 struct ClassRow {
     matrix: ClassMatrix,
     oracle: differential::OracleReport,
@@ -74,7 +45,7 @@ const USAGE: &str = "usage: bench_differential [--certs <n>] [--seed <s>] \
 fn main() {
     unicert_bench::accept_flags(USAGE, &["--certs", "--seed"]);
     let _telemetry = unicert_bench::telemetry_args();
-    let (certs, seed) = differential_args();
+    let (certs, seed) = unicert_bench::certs_seed_args(2_000);
     let bimi_certs = (certs / 4).max(1);
     eprintln!(
         "bench_differential: seeding corpora webpki={certs} bimi={bimi_certs} seed={seed} ..."

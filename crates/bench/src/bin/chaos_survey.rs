@@ -29,35 +29,6 @@ use unicert::survey::{self, SurveyOptions};
 use unicert::telemetry::{self, Stopwatch};
 use unicert_chaos::{MutationClass, Mutator};
 
-/// `--certs N` / `--seed S` (either `=`-joined or space-separated),
-/// composing with the shared telemetry flags.
-fn chaos_args() -> (usize, u64) {
-    let mut certs = 10_000usize;
-    let mut seed = 42u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
-            None => (arg, None),
-        };
-        let mut value = || inline.clone().or_else(|| args.next());
-        match flag.as_str() {
-            "--certs" => {
-                if let Some(v) = value().and_then(|v| v.parse().ok()) {
-                    certs = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            _ => {}
-        }
-    }
-    (certs, seed)
-}
-
 struct ClassRow {
     class: &'static str,
     outcomes: BTreeMap<&'static str, usize>,
@@ -71,7 +42,7 @@ const USAGE: &str = "usage: chaos_survey [--certs <n>] [--seed <s>] \
 fn main() {
     unicert_bench::accept_flags(USAGE, &["--certs", "--seed"]);
     let _telemetry = unicert_bench::telemetry_args();
-    let (certs, seed) = chaos_args();
+    let (certs, seed) = unicert_bench::certs_seed_args(10_000);
     eprintln!("chaos_survey: generating corpus size={certs} seed={seed} ...");
     let corpus: Vec<Vec<u8>> = CorpusGenerator::new(CorpusConfig {
         size: certs,

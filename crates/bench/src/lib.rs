@@ -63,6 +63,47 @@ pub fn parse_corpus_args(
     Ok(CorpusConfig { size, seed, precert_fraction: 0.0, latent_defects: true })
 }
 
+/// `--certs N` / `--seed S` (either `=`-joined or space-separated) from
+/// argv, defaulting to `default_certs` and seed 42. A value that is not a
+/// number is a usage error: the message goes to stderr and the process
+/// exits with status 2.
+pub fn certs_seed_args(default_certs: usize) -> (usize, u64) {
+    match parse_certs_seed(std::env::args().skip(1), default_certs) {
+        Ok(parsed) => parsed,
+        Err(problem) => {
+            eprintln!("error: {problem}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The pure half of [`certs_seed_args`]: read `--certs` and `--seed` out of
+/// `args` (argv without the program name), skipping every other flag with
+/// its value. Absent flags take the defaults; present ones must parse.
+pub fn parse_certs_seed(
+    args: impl IntoIterator<Item = String>,
+    default_certs: usize,
+) -> Result<(usize, u64), String> {
+    let (mut certs, mut seed) = (None, None);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
+            None => (arg, None),
+        };
+        let slot = match flag.as_str() {
+            "--certs" => &mut certs,
+            "--seed" => &mut seed,
+            _ => continue,
+        };
+        *slot = inline.or_else(|| args.next());
+    }
+    Ok((
+        parse_or(certs.as_ref(), "--certs", default_certs)?,
+        parse_or(seed.as_ref(), "--seed", 42)?,
+    ))
+}
+
 /// Parse an optional positional number, falling back to `default` only
 /// when the argument is absent.
 fn parse_or<T: std::str::FromStr>(
@@ -256,6 +297,28 @@ mod tests {
         assert_eq!((config.size, config.seed), (100_000, 42));
         let config = parse(&["--baseline", "b.json", "20000", "--min-speedup=2", "7"]).unwrap();
         assert_eq!((config.size, config.seed), (20_000, 7));
+    }
+
+    fn certs_seed(args: &[&str]) -> Result<(usize, u64), String> {
+        parse_certs_seed(args.iter().map(|a| a.to_string()), 2_000)
+    }
+
+    #[test]
+    fn certs_seed_take_defaults_values_and_skip_other_flags() {
+        assert_eq!(certs_seed(&[]), Ok((2_000, 42)));
+        assert_eq!(certs_seed(&["--certs", "500", "--seed=7"]), Ok((500, 7)));
+        let args = ["--metrics-out", "m.json", "--seed", "9", "--certs=10"];
+        assert_eq!(certs_seed(&args), Ok((10, 9)));
+    }
+
+    #[test]
+    fn certs_seed_reject_malformed_values() {
+        let err = certs_seed(&["--certs", "10k"]).unwrap_err();
+        assert!(err.contains("--certs") && err.contains("10k"), "{err}");
+        let err = certs_seed(&["--seed=x"]).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
+        assert!(certs_seed(&["--seed", "-1"]).is_err());
+        assert!(certs_seed(&["--certs="]).is_err());
     }
 
     fn check(args: &[&str]) -> Result<FlagCheck, String> {

@@ -629,21 +629,17 @@ fn accumulate(
         ys.noncompliant += 1;
     }
 
-    // Table 2.
-    let is_ = report
-        .by_issuer
-        .entry(meta.issuer_org.clone())
-        .or_insert_with(|| IssuerStats {
-            trust: meta.trust,
-            total: 0,
-            noncompliant: 0,
-            recent_noncompliant: 0,
-        });
-    is_.total += 1;
-    if nc {
-        is_.noncompliant += 1;
-        if recent {
-            is_.recent_noncompliant += 1;
+    // Table 2. The issuer name is cloned only the first time it is seen.
+    let this_cert = IssuerStats {
+        trust: meta.trust,
+        total: 1,
+        noncompliant: usize::from(nc),
+        recent_noncompliant: usize::from(nc && recent),
+    };
+    match report.by_issuer.get_mut(meta.issuer_org.as_str()) {
+        Some(stats) => stats.merge(this_cert),
+        None => {
+            report.by_issuer.insert(meta.issuer_org.clone(), this_cert);
         }
     }
 

@@ -59,7 +59,10 @@ fn char_to_digit(c: char) -> Option<u32> {
 ///
 /// Returns `None` on overflow (inputs beyond the algorithm's range).
 pub fn encode(input: &str) -> Option<String> {
-    let mut output: String = input.chars().filter(char::is_ascii).collect();
+    // Basic code points plus the delimiter, then a few digits per extended
+    // code point: a label's output rarely outgrows twice its input.
+    let mut output = String::with_capacity(2 * input.len());
+    output.extend(input.chars().filter(char::is_ascii));
     let b = output.len() as u32;
     let total = input.chars().count();
     let mut h = b;
@@ -112,7 +115,8 @@ pub fn encode(input: &str) -> Option<String> {
 
 /// Decode a Punycode string (without any `xn--` prefix).
 pub fn decode(input: &str) -> Result<String, PunycodeError> {
-    let mut output: Vec<char> = Vec::new();
+    // Every output code point consumes at least one input byte.
+    let mut output: Vec<char> = Vec::with_capacity(input.len());
     let (basic_part, extended) = match input.rsplit_once(DELIMITER) {
         Some((basic, ext)) => (basic, ext),
         None => ("", input),
@@ -160,7 +164,10 @@ pub fn decode(input: &str) -> Result<String, PunycodeError> {
         output.insert(i as usize, ch);
         i += 1;
     }
-    Ok(output.into_iter().collect())
+    // At most four UTF-8 bytes per code point.
+    let mut text = String::with_capacity(4 * output.len());
+    text.extend(output);
+    Ok(text)
 }
 
 #[cfg(test)]

@@ -21,10 +21,7 @@ pub fn lints() -> Vec<Lint> {
             Idna2008, Error, InvalidCharacter, new = true,
             |ctx| {
                 helpers::check_values(ctx.san_dns(), |v| {
-                    match helpers::lenient_text(v) {
-                        Some(t) => !ctx.any_ace_label(t, |i| i.status == ALabelStatus::DisallowedContent),
-                        None => true,
-                    }
+                    !ctx.any_ace_label_of(v, |i| i.status == ALabelStatus::DisallowedContent)
                 })
             }
         ),
@@ -73,11 +70,10 @@ pub fn lints() -> Vec<Lint> {
             "RFC 5890 §2.3.2.1, RFC 3492",
             Rfc5890, Error, InvalidCharacter, new = false,
             |ctx| {
-                helpers::check_values(ctx.san_dns(), |v| match helpers::lenient_text(v) {
-                    Some(t) => !ctx.any_ace_label(t, |i| {
+                helpers::check_values(ctx.san_dns(), |v| {
+                    !ctx.any_ace_label_of(v, |i| {
                         matches!(i.status, ALabelStatus::Unconvertible | ALabelStatus::NonCanonical)
-                    }),
-                    None => true,
+                    })
                 })
             }
         ),
@@ -110,7 +106,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 5280 §4.1.2.6; CVE-2009-2408 heritage",
             Community, Error, InvalidCharacter, new = false,
             |ctx| helpers::check_all_dn(ctx, Which::Subject, |v| {
-                helpers::free_of(v, |c| c == '\u{0}')
+                v.free_of_unprintable(|c| c == '\u{0}')
             })
         ),
         lint!(
@@ -148,7 +144,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 9549 §3, Unicode UAX #9",
             Rfc9549, Error, InvalidCharacter, new = true,
             |ctx| helpers::check_all_dn(ctx, Which::Subject, |v| {
-                helpers::free_of(v, classify::is_bidi_control)
+                v.free_of_unprintable(classify::is_bidi_control)
             })
         ),
         lint!(
@@ -157,7 +153,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 8399 §2, Unicode TR #36",
             Rfc8399, Error, InvalidCharacter, new = true,
             |ctx| helpers::check_all_dn(ctx, Which::Subject, |v| {
-                helpers::free_of(v, classify::is_zero_width)
+                v.free_of_unprintable(classify::is_zero_width)
             })
         ),
         lint!(
@@ -184,7 +180,7 @@ pub fn lints() -> Vec<Lint> {
                     .chain(ctx.dn_attrs(Which::Issuer))
                     .map(|a| &a.val)
                     .filter(|v| v.kind() == Some(StringKind::Utf8));
-                helpers::check_values(values, |v| helpers::free_of(v, classify::is_control))
+                helpers::check_values(values, helpers::has_no_control_chars)
             }
         ),
         lint!(
@@ -193,7 +189,7 @@ pub fn lints() -> Vec<Lint> {
             "community practice; Table 3 variant analysis",
             Community, Warning, InvalidCharacter, new = false,
             |ctx| helpers::check_all_dn(ctx, Which::Subject, |v| {
-                helpers::free_of(v, classify::is_nonstandard_whitespace)
+                v.free_of_unprintable(classify::is_nonstandard_whitespace)
             })
         ),
         lint!(
@@ -202,9 +198,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 5280 §4.2.1.13, RFC 3986",
             Rfc5280, Error, InvalidCharacter, new = true,
             |ctx| {
-                helpers::check_values(ctx.crldp_uris(), |v| {
-                    helpers::free_of(v, classify::is_control)
-                })
+                helpers::check_values(ctx.crldp_uris(), helpers::has_no_control_chars)
             }
         ),
         lint!(

@@ -23,10 +23,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 5891 §4.2.3.1, RFC 8399 §2.2",
             Rfc5890, Error, BadNormalization, new = true,
             |ctx| {
-                helpers::check_values(ctx.san_dns(), |v| {
-                    helpers::lenient_text(v)
-                        .is_none_or(|t| !ctx.any_ace_label(t, |i| i.non_nfc))
-                })
+                helpers::check_values(ctx.san_dns(), |v| !ctx.any_ace_label_of(v, |i| i.non_nfc))
             }
         ),
         lint!(
@@ -52,8 +49,7 @@ pub fn lints() -> Vec<Lint> {
             Rfc5890, Error, BadNormalization, new = true,
             |ctx| {
                 helpers::check_values(ctx.san_dns(), |v| {
-                    helpers::lenient_text(v)
-                        .is_none_or(|t| !ctx.any_ace_label(t, |i| i.roundtrip_mismatch))
+                    !ctx.any_ace_label_of(v, |i| i.roundtrip_mismatch)
                 })
             }
         ),

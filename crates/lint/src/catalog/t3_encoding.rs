@@ -336,7 +336,9 @@ pub fn lints() -> Vec<Lint> {
                 .map(|a| &a.val)
                 .chain(ctx.explicit_texts().iter())
                 .filter(|v| v.kind() == Some(StringKind::Utf8));
-            helpers::check_values(values, |v| std::str::from_utf8(v.bytes()).is_ok())
+            helpers::check_values(values, |v| {
+                v.is_printable_ascii() || std::str::from_utf8(v.bytes()).is_ok()
+            })
         }
     ));
     lints.push(lint!(

@@ -29,7 +29,8 @@ pub fn lints() -> Vec<Lint> {
             "CABF BR §7.1.4.2.2(a)",
             CabfBr, Warning, InvalidStructure, new = false,
             |ctx| {
-                let mut cns = ctx.attr_vals(Which::Subject, &known::common_name()).peekable();
+                let cn = known::common_name();
+                let mut cns = ctx.attr_vals(Which::Subject, &cn).peekable();
                 if cns.peek().is_none() {
                     return LintStatus::NotApplicable;
                 }

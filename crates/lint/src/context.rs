@@ -132,36 +132,43 @@ struct EvidenceState {
     touched: TouchLog,
 }
 
-/// A value's memoized wire decode.
+/// A value's content octets, kept as text when they are their own wire
+/// decode.
 #[derive(Debug)]
-enum Wire {
-    /// The decode is the value's own bytes ([`RawValue::wire_str`]):
-    /// served from them, nothing stored.
-    Identity,
-    /// Latin-1 widening of non-ASCII bytes, UCS-2 or UCS-4: decoded text.
-    Decoded(Box<str>),
-    /// Not decodable under the declared tag.
-    Invalid,
+enum Content {
+    /// The declared kind's wire decode is the bytes themselves
+    /// ([`RawValue::wire_str`]): validated once, moved out of the `Vec`.
+    Text(String),
+    /// Anything else: Latin-1 widening of non-ASCII bytes, UCS-2, UCS-4, or
+    /// not decodable under the declared tag. The decode is memoized on
+    /// first use (`None` = not decodable).
+    Bytes { bytes: Vec<u8>, decoded: OnceCell<Option<Box<str>>> },
 }
 
 /// A string value with memoized decode results.
 ///
-/// Wraps the original [`RawValue`] (tag + bytes, untouched) and computes the
-/// wire decode, the strict decode verdict, and the NFC verdict at most once
-/// each, no matter how many lints ask. The strict verdict reuses the wire
+/// Holds the original tag and bytes, untouched, plus facts computed once:
+/// at construction, whether the bytes are their own wire text and whether
+/// that text is printable ASCII; on first use, the wire decode, the strict
+/// decode verdict, the NFC verdict and whether the text has an ACE-prefixed
+/// label — no matter how many lints ask. The strict verdict reuses the wire
 /// decode. In evidence mode the value also carries its [`Origin`]; every
 /// accessor then logs the touch so the framework can attribute byte ranges
 /// to the finding of the lint that asked.
 #[derive(Debug)]
 pub struct CachedVal {
-    raw: RawValue,
-    wire: OnceCell<Wire>,
-    /// Has [`CachedVal::wire_text`] been asked before? Kept apart from
-    /// `wire`, which `strict_ok` may fill first, so the `dn_text` hit/miss
-    /// tally counts accessor calls the same way whichever fills the memo.
+    tag_number: u32,
+    content: Content,
+    /// Is the wire text the bytes themselves, each in 0x20..=0x7E?
+    printable_ascii: bool,
+    /// Has [`CachedVal::wire_text`] been asked before? Kept apart from the
+    /// decode memo, which `strict_ok` may fill first, so the `dn_text`
+    /// hit/miss tally counts accessor calls the same way whichever fills
+    /// the memo.
     wire_asked: Cell<bool>,
     strict_ok: OnceCell<bool>,
     nfc_ok: OnceCell<bool>,
+    ace_label: OnceCell<bool>,
     stats: Rc<CacheStats>,
     /// `(origin, touch log)` — populated only in evidence mode.
     provenance: Option<(Rc<Origin>, TouchLog)>,
@@ -173,12 +180,25 @@ impl CachedVal {
         stats: Rc<CacheStats>,
         provenance: Option<(Rc<Origin>, TouchLog)>,
     ) -> CachedVal {
+        let identity = raw.wire_str().is_some();
+        let RawValue { tag_number, bytes } = raw;
+        let content = match String::from_utf8(bytes) {
+            Ok(text) if identity => Content::Text(text),
+            Ok(text) => Content::Bytes { bytes: text.into_bytes(), decoded: OnceCell::new() },
+            Err(err) => Content::Bytes { bytes: err.into_bytes(), decoded: OnceCell::new() },
+        };
+        let printable_ascii = match &content {
+            Content::Text(text) => text.bytes().all(|b| matches!(b, 0x20..=0x7E)),
+            Content::Bytes { .. } => false,
+        };
         CachedVal {
-            raw,
-            wire: OnceCell::new(),
+            tag_number,
+            content,
+            printable_ascii,
             wire_asked: Cell::new(false),
             strict_ok: OnceCell::new(),
             nfc_ok: OnceCell::new(),
+            ace_label: OnceCell::new(),
             stats,
             provenance,
         }
@@ -198,49 +218,80 @@ impl CachedVal {
         self.provenance.as_ref().map(|(o, _)| o.as_ref())
     }
 
-    /// The underlying raw value.
-    pub fn raw(&self) -> &RawValue {
+    /// A copy of the underlying raw value.
+    pub fn raw(&self) -> RawValue {
         self.touch_origin();
-        &self.raw
+        RawValue { tag_number: self.tag_number, bytes: self.content_bytes().to_vec() }
     }
 
     /// The declared string kind, if the tag is a string type.
     pub fn kind(&self) -> Option<StringKind> {
         self.touch_origin();
-        self.raw.kind()
+        StringKind::from_tag_number(self.tag_number)
     }
 
     /// The content octets, untouched.
     pub fn bytes(&self) -> &[u8] {
         self.touch_origin();
-        &self.raw.bytes
+        self.content_bytes()
+    }
+
+    fn content_bytes(&self) -> &[u8] {
+        match &self.content {
+            Content::Text(text) => text.as_bytes(),
+            Content::Bytes { bytes, .. } => bytes,
+        }
+    }
+
+    /// Is the wire text the bytes themselves, every one printable ASCII
+    /// (0x20..=0x7E)? Decided when the value was cached.
+    pub fn is_printable_ascii(&self) -> bool {
+        self.touch_origin();
+        self.printable_ascii
     }
 
     /// The memoized wire decode, without touching origins or stats.
     fn wire(&self) -> Option<&str> {
-        let wire = self.wire.get_or_init(|| {
-            if self.raw.wire_str().is_some() {
-                return Wire::Identity;
-            }
-            match self.raw.decode_wire() {
-                Ok(text) => Wire::Decoded(text.into_boxed_str()),
-                Err(_) => Wire::Invalid,
-            }
-        });
-        match wire {
-            // Identity was recorded because these bytes are valid UTF-8.
-            Wire::Identity => std::str::from_utf8(&self.raw.bytes).ok(),
-            Wire::Decoded(text) => Some(text),
-            Wire::Invalid => None,
+        match &self.content {
+            Content::Text(text) => Some(text),
+            Content::Bytes { bytes, decoded } => decoded
+                .get_or_init(|| {
+                    let kind = StringKind::from_tag_number(self.tag_number)?;
+                    kind.decode_wire(bytes).ok().map(String::into_boxed_str)
+                })
+                .as_deref(),
         }
+    }
+
+    /// Count a `wire_text`-style ask in the `dn_text` tally.
+    fn note_wire_ask(&self) {
+        self.touch_origin();
+        self.stats.dn_text.touch(self.wire_asked.replace(true));
     }
 
     /// Wire-format decode (`RawValue::decode_wire`), memoized. `None` means
     /// the bytes are not decodable under the declared tag.
     pub fn wire_text(&self) -> Option<&str> {
-        self.touch_origin();
-        self.stats.dn_text.touch(self.wire_asked.replace(true));
+        self.note_wire_ask();
         self.wire()
+    }
+
+    /// Is the wire text free of every character `bad` accepts? `bad` must
+    /// be false on all of U+0020..=U+007E: a printable-ASCII value then
+    /// answers without reading its text. Undecodable bytes count as free
+    /// (encoding lints own them). Counted like [`CachedVal::wire_text`].
+    pub fn free_of_unprintable(&self, bad: impl Fn(char) -> bool) -> bool {
+        self.note_wire_ask();
+        self.printable_ascii || self.wire().is_none_or(|t| !t.chars().any(bad))
+    }
+
+    /// Does the wire text contain an ACE-prefixed (`xn--`, any case) label
+    /// between dots? Memoized; undecodable text has none.
+    pub fn has_ace_label(&self) -> bool {
+        self.touch_origin();
+        *self
+            .ace_label
+            .get_or_init(|| self.wire().is_some_and(|t| t.split('.').any(has_ace_prefix)))
     }
 
     /// Does the value pass a strict decode (`RawValue::decode_strict`)?
@@ -249,9 +300,11 @@ impl CachedVal {
     pub fn strict_ok(&self) -> bool {
         self.touch_origin();
         self.stats.dn_text.touch(self.strict_ok.get().is_some());
-        *self.strict_ok.get_or_init(|| match (self.raw.kind(), self.wire()) {
-            (Some(kind), Some(text)) => text.chars().all(|c| kind.allows_char(c)),
-            _ => false,
+        *self.strict_ok.get_or_init(|| {
+            match (StringKind::from_tag_number(self.tag_number), self.wire()) {
+                (Some(kind), Some(text)) => text.chars().all(|c| kind.allows_char(c)),
+                _ => false,
+            }
         })
     }
 
@@ -274,6 +327,23 @@ pub struct DnAttr {
     pub oid: Oid,
     /// The cached value.
     pub val: CachedVal,
+}
+
+/// A DN's cached attributes plus a mask of the attribute types present.
+#[derive(Debug)]
+struct DnAttrs {
+    attrs: Vec<DnAttr>,
+    /// Union of [`presence_bit`] over `attrs`.
+    present: u64,
+}
+
+/// An attribute type's bit in [`DnAttrs::present`]: bit `n` for `id-at-n`
+/// (2.5.4.n) with `n` below 63, bit 63 shared by every other type.
+fn presence_bit(oid: &Oid) -> u64 {
+    match oid.as_der_value() {
+        [0x55, 0x04, arc] if *arc < 63 => 1 << arc,
+        _ => 1 << 63,
+    }
 }
 
 /// Everything the label cache knows about one DNS label, from a single
@@ -362,8 +432,8 @@ pub struct LintContext<'c> {
     /// semantics for the classify stage; the first-matching-OID scan
     /// preserves `TbsCertificate::extension` semantics for the lints.
     parsed_exts: OnceCell<Vec<Option<ParsedExtension>>>,
-    subject: OnceCell<Vec<DnAttr>>,
-    issuer: OnceCell<Vec<DnAttr>>,
+    subject: OnceCell<DnAttrs>,
+    issuer: OnceCell<DnAttrs>,
     san_dns: OnceCell<Vec<CachedVal>>,
     san_rfc822: OnceCell<Vec<CachedVal>>,
     san_uri: OnceCell<Vec<CachedVal>>,
@@ -488,7 +558,7 @@ impl<'c> LintContext<'c> {
 
     /// Number of attributes of type `oid` in a DN (duplicate detection).
     pub fn count_of(&self, which: Which, oid: &Oid) -> usize {
-        self.dn_attrs(which).iter().filter(|a| &a.oid == oid).count()
+        self.attr_vals(which, oid).count()
     }
 
     /// This context's cache hit/miss tallies (flushed to telemetry on drop).
@@ -629,8 +699,8 @@ impl<'c> LintContext<'c> {
 
     // --- DNs ------------------------------------------------------------
 
-    /// All attributes of a DN in wire order, with cached values.
-    pub fn dn_attrs(&self, which: Which) -> &[DnAttr] {
+    /// A DN's cached attributes and presence mask, filled on first use.
+    fn dn_cache(&self, which: Which) -> &DnAttrs {
         let cell = match which {
             Which::Subject => &self.subject,
             Which::Issuer => &self.issuer,
@@ -641,20 +711,34 @@ impl<'c> LintContext<'c> {
                 Which::Subject => &self.view().subject,
                 Which::Issuer => &self.view().issuer,
             };
-            dn.attributes()
+            let mut present = 0;
+            let attrs = dn
+                .attributes()
                 .enumerate()
-                .map(|(i, a)| DnAttr {
-                    oid: a.oid.clone(),
-                    val: self.cached_dn(a.raw_value(), which, i),
+                .map(|(i, a)| {
+                    present |= presence_bit(&a.oid);
+                    DnAttr { oid: a.oid.clone(), val: self.cached_dn(a.raw_value(), which, i) }
                 })
-                .collect()
+                .collect();
+            DnAttrs { attrs, present }
         })
     }
 
-    /// Cached values of one attribute type, in wire order.
-    pub fn attr_vals(&self, which: Which, oid: &Oid) -> impl Iterator<Item = &CachedVal> {
-        let oid = oid.clone();
-        self.dn_attrs(which).iter().filter(move |a| a.oid == oid).map(|a| &a.val)
+    /// All attributes of a DN in wire order, with cached values.
+    pub fn dn_attrs(&self, which: Which) -> &[DnAttr] {
+        &self.dn_cache(which).attrs
+    }
+
+    /// Cached values of one attribute type, in wire order. A type absent
+    /// from the DN's presence mask answers without a walk.
+    pub fn attr_vals<'s>(
+        &'s self,
+        which: Which,
+        oid: &'s Oid,
+    ) -> impl Iterator<Item = &'s CachedVal> + 's {
+        let dn = self.dn_cache(which);
+        let attrs = if dn.present & presence_bit(oid) == 0 { &[] } else { dn.attrs.as_slice() };
+        attrs.iter().filter(move |a| &a.oid == oid).map(|a| &a.val)
     }
 
     // --- Extensions -----------------------------------------------------
@@ -892,6 +976,16 @@ impl<'c> LintContext<'c> {
     pub fn any_ace_label(&self, text: &str, pred: impl Fn(LabelInfo) -> bool) -> bool {
         text.split('.').filter(|l| has_ace_prefix(l)).any(|l| pred(self.label_info(l)))
     }
+
+    /// [`LintContext::any_ace_label`] over a cached value's wire text
+    /// (undecodable text has no labels). A value without an ACE-prefixed
+    /// label answers from its memo, skipping the split and the label cache.
+    pub fn any_ace_label_of(&self, v: &CachedVal, pred: impl Fn(LabelInfo) -> bool) -> bool {
+        match v.wire_text() {
+            Some(text) if v.has_ace_label() => self.any_ace_label(text, pred),
+            _ => false,
+        }
+    }
 }
 
 impl std::fmt::Debug for LintContext<'_> {
@@ -960,7 +1054,8 @@ mod tests {
     fn wire_text_memoizes() {
         let cert = builder().subject_cn("Müller").build_signed(&SimKey::from_seed("ctx"));
         let ctx = LintContext::new(&cert);
-        let vals: Vec<_> = ctx.attr_vals(Which::Subject, &known::common_name()).collect();
+        let cn = known::common_name();
+        let vals: Vec<_> = ctx.attr_vals(Which::Subject, &cn).collect();
         assert_eq!(vals.len(), 1);
         let v = vals[0];
         assert_eq!(v.wire_text(), Some("Müller"));

@@ -212,7 +212,7 @@ pub fn free_of(v: &CachedVal, bad: impl Fn(char) -> bool) -> bool {
 /// The paper's printable-characters requirement for Subject DNs: every
 /// character must be outside C0/C1/DEL.
 pub fn has_no_control_chars(v: &CachedVal) -> bool {
-    free_of(v, classify::is_control)
+    v.free_of_unprintable(classify::is_control)
 }
 
 /// DNSName repertoire: `[a-zA-Z0-9.*-]` only.

@@ -2,7 +2,7 @@
 //! `RelativeDistinguishedName ::= SET OF AttributeTypeAndValue`.
 
 use crate::value::RawValue;
-use crate::view::{AttrView, DnView, RdnView};
+use crate::view::{AttrView, DnView};
 use unicert_asn1::oid::known;
 use unicert_asn1::tag::Class;
 use unicert_asn1::{Error, Oid, Reader, Result, StringKind, Writer};
@@ -111,23 +111,15 @@ impl DistinguishedName {
     /// Borrow as a [`DnView`] whose value slices point into this name's
     /// owned bytes (the inverse of [`DnView::to_owned`]).
     pub fn view(&self) -> DnView<'_> {
-        DnView {
-            rdns: self
-                .rdns
-                .iter()
-                .map(|rdn| RdnView {
-                    attributes: rdn
-                        .attributes
-                        .iter()
-                        .map(|a| AttrView {
-                            oid: a.oid.clone(),
-                            tag_number: a.value.tag_number,
-                            value: &a.value.bytes,
-                        })
-                        .collect(),
-                })
-                .collect(),
+        let mut dn = DnView::default();
+        for rdn in &self.rdns {
+            dn.push_rdn(rdn.attributes.iter().map(|a| AttrView {
+                oid: a.oid.clone(),
+                tag_number: a.value.tag_number,
+                value: &a.value.bytes,
+            }));
         }
+        dn
     }
 
     /// Parse from the contents of a `Name` (the outer SEQUENCE TLV).

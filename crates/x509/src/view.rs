@@ -34,7 +34,7 @@ use crate::certificate::{
 use unicert_asn1::oid::known;
 use unicert_asn1::tag::{tags, Class, Tag};
 use unicert_asn1::{
-    BitString, BudgetState, DateTime, Error, Oid, Reader, Result, TimeKind,
+    BitString, BudgetState, DateTime, Error, Oid, Reader, Result, StringKind, TimeKind,
 };
 #[cfg(doc)]
 use unicert_asn1::ParseBudget;
@@ -90,48 +90,104 @@ impl AttrView<'_> {
     }
 
     /// Best-effort display text (same fallback chain as
-    /// [`RawValue::display_lossy`]).
+    /// [`RawValue::display_lossy`]), rendered straight from the borrowed
+    /// bytes.
     pub fn display_lossy(&self) -> String {
-        self.raw_value().display_lossy()
+        StringKind::from_tag_number(self.tag_number)
+            .and_then(|kind| kind.decode_wire(self.value).ok())
+            .unwrap_or_else(|| self.value.iter().map(|&b| char::from(b)).collect())
     }
 }
 
-/// Borrowed RDN: a SET of attributes (almost always exactly one).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RdnView<'a> {
-    /// The attribute set.
-    pub attributes: Vec<AttrView<'a>>,
-}
+/// Fewest bytes a single-valued RDN can take on the wire: SET and SEQUENCE
+/// headers, a one-octet OID TLV and an empty value TLV.
+const MIN_RDN_BYTES: usize = 9;
 
-/// Borrowed DistinguishedName.
+/// Fewest bytes an `Extension` can take on the wire: SEQUENCE header, a
+/// one-octet OID TLV and an empty OCTET STRING TLV.
+const MIN_EXTENSION_BYTES: usize = 7;
+
+/// Borrowed DistinguishedName: every attribute in one flat vector, plus
+/// the RDN boundaries when they are not one attribute each.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DnView<'a> {
-    /// The RDN sequence, in wire order.
-    pub rdns: Vec<RdnView<'a>>,
+    /// Every attribute across all RDNs, in wire order.
+    attrs: Vec<AttrView<'a>>,
+    /// End index into `attrs` of each RDN. Left empty while every RDN holds
+    /// exactly one attribute (the usual case), so most names allocate once.
+    rdn_ends: Vec<usize>,
 }
 
 impl<'a> DnView<'a> {
     fn parse(reader: &mut Reader<'a>) -> Result<DnView<'a>> {
-        let mut rdns = Vec::new();
         reader.read_sequence(|seq| {
+            // Sized from the bytes left, so the vector never regrows.
+            let mut dn = DnView {
+                attrs: Vec::with_capacity(seq.remaining() / MIN_RDN_BYTES),
+                rdn_ends: Vec::new(),
+            };
             while !seq.is_empty() {
-                let rdn = seq.read_set(|set| {
-                    let mut attributes = Vec::new();
+                let start = dn.attrs.len();
+                seq.read_set(|set| {
                     while !set.is_empty() {
-                        attributes.push(parse_atv_view(set)?);
+                        dn.attrs.push(parse_atv_view(set)?);
                     }
-                    Ok(RdnView { attributes })
+                    Ok(())
                 })?;
-                rdns.push(rdn);
+                dn.close_rdn(start);
             }
-            Ok(())
-        })?;
-        Ok(DnView { rdns })
+            Ok(dn)
+        })
+    }
+
+    /// Append one RDN holding `attrs`, in order.
+    pub(crate) fn push_rdn(&mut self, attrs: impl IntoIterator<Item = AttrView<'a>>) {
+        let start = self.attrs.len();
+        self.attrs.extend(attrs);
+        self.close_rdn(start);
+    }
+
+    /// Record the boundary of the RDN whose attributes start at `start`.
+    fn close_rdn(&mut self, start: usize) {
+        let end = self.attrs.len();
+        if self.rdn_ends.is_empty() {
+            if end == start + 1 {
+                return;
+            }
+            // The first RDN that is not single-valued: every RDN before it
+            // held one attribute.
+            self.rdn_ends.extend(1..=start);
+        }
+        self.rdn_ends.push(end);
+    }
+
+    /// Number of RDNs, empty SETs included.
+    pub fn rdn_count(&self) -> usize {
+        if self.rdn_ends.is_empty() {
+            self.attrs.len()
+        } else {
+            self.rdn_ends.len()
+        }
+    }
+
+    /// The RDNs in wire order, each as its attribute slice (empty for an
+    /// empty SET).
+    pub fn rdns(&self) -> impl Iterator<Item = &[AttrView<'a>]> {
+        let mut start = 0;
+        (0..self.rdn_count()).map(move |i| {
+            let end = match self.rdn_ends.get(i) {
+                Some(&end) => end,
+                None => i + 1,
+            };
+            let rdn = self.attrs.get(start..end).unwrap_or_default();
+            start = end;
+            rdn
+        })
     }
 
     /// Iterate every attribute across all RDNs, in wire order.
     pub fn attributes(&self) -> impl Iterator<Item = &AttrView<'a>> {
-        self.rdns.iter().flat_map(|rdn| rdn.attributes.iter())
+        self.attrs.iter()
     }
 
     /// The first value of the given type (matching
@@ -159,18 +215,16 @@ impl<'a> DnView<'a> {
     /// an empty SET still counts, matching
     /// [`DistinguishedName::is_empty`].
     pub fn is_empty(&self) -> bool {
-        self.rdns.is_empty()
+        self.rdn_count() == 0
     }
 
     /// Copy into the owned model.
     pub fn to_owned(&self) -> DistinguishedName {
         DistinguishedName {
             rdns: self
-                .rdns
-                .iter()
+                .rdns()
                 .map(|rdn| Rdn {
                     attributes: rdn
-                        .attributes
                         .iter()
                         .map(|a| AttributeTypeAndValue {
                             oid: a.oid.clone(),
@@ -448,6 +502,8 @@ impl<'a> TbsFields<'a> {
             if let Some(exts) = tbs.read_optional(Tag::context_constructed(3))? {
                 let mut c = exts.contents();
                 c.read_sequence(|list| {
+                    // Sized from the bytes left, so the vector never regrows.
+                    extensions.reserve(list.remaining() / MIN_EXTENSION_BYTES);
                     while !list.is_empty() {
                         extensions.push(parse_extension_view(list)?);
                     }

@@ -9,6 +9,12 @@
 //! `String`, a per-extension `Vec`, or a `clone` on every dictionary OID
 //! shows here on any machine.
 //!
+//! A second budget pins the parse layer on rejected inputs: the same corpus
+//! with every certificate passed through one chaos mutation class, cycling
+//! the ten classes as the benchmark's hostile workload does. Most of those
+//! inputs stop in the decoder, so a per-RDN or per-timestamp allocation
+//! shows there first.
+//!
 //! Allocation calls are `alloc`, `alloc_zeroed` and `realloc`; frees are
 //! not counted.
 
@@ -19,6 +25,7 @@ use unicert::asn1::ParseBudget;
 use unicert::corpus::{CorpusConfig, CorpusGenerator};
 use unicert::lint::{RunOptions, DEFAULT_PROFILE};
 use unicert::survey::{run_bytes, SurveyOptions};
+use unicert_chaos::{MutationClass, Mutator};
 
 thread_local! {
     /// Allocation calls made by this thread while counting is on.
@@ -81,7 +88,12 @@ fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Allocation calls per certificate measured when this budget was set
 /// (serial `run_bytes`, 2 000 certificates, seed 7).
-const MEASURED_PER_CERT: f64 = 43.06;
+const MEASURED_PER_CERT: f64 = 27.20;
+
+/// Allocation calls per input measured when this budget was set (serial
+/// `run_bytes`, the same 2 000 certificates each mutated once, mutator
+/// seed 7).
+const MEASURED_PER_HOSTILE_INPUT: f64 = 2.50;
 
 #[test]
 fn survey_allocations_per_certificate_stay_within_budget() {
@@ -120,5 +132,51 @@ fn survey_allocations_per_certificate_stay_within_budget() {
         per_cert <= ceiling,
         "{per_cert:.2} allocation calls per certificate exceeds the budget of {ceiling:.2} \
          (measured {MEASURED_PER_CERT} + 5%)"
+    );
+}
+
+#[test]
+fn hostile_allocations_per_input_stay_within_budget() {
+    let config = CorpusConfig {
+        size: 2_000,
+        seed: 7,
+        precert_fraction: 0.0,
+        latent_defects: true,
+    };
+    let mut mutator = Mutator::new(7);
+    let classes = MutationClass::ALL;
+    let ders: Vec<Vec<u8>> = CorpusGenerator::new(config)
+        .enumerate()
+        .map(|(i, e)| mutator.mutate(&e.cert.raw, classes[i % classes.len()]))
+        .collect();
+    let opts = SurveyOptions {
+        lint: RunOptions {
+            enforce_effective_dates: true,
+            threads: Some(1),
+            profile: Some(DEFAULT_PROFILE),
+            evidence: false,
+            ..RunOptions::default()
+        },
+        field_matrix: true,
+    };
+    let budget = ParseBudget::default();
+    let warm = run_bytes(&ders, opts, &budget);
+    let (report, allocs) = count_allocs(|| run_bytes(&ders, opts, &budget));
+    assert_eq!(
+        report.fingerprint(),
+        warm.fingerprint(),
+        "warm-up and counted runs differ"
+    );
+    let parsed = report.parse_outcomes.get("ok").copied().unwrap_or(0);
+    assert!(parsed < ders.len() / 2, "only {parsed} of {} inputs may parse", ders.len());
+    let per_input = allocs as f64 / ders.len() as f64;
+    let ceiling = MEASURED_PER_HOSTILE_INPUT * 1.05;
+    println!(
+        "hostile allocation calls: {allocs} total, {per_input:.2} per input (ceiling {ceiling:.2})"
+    );
+    assert!(
+        per_input <= ceiling,
+        "{per_input:.2} allocation calls per hostile input exceeds the budget of {ceiling:.2} \
+         (measured {MEASURED_PER_HOSTILE_INPUT} + 5%)"
     );
 }

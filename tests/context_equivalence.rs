@@ -25,7 +25,7 @@ use unicert::lint::{default_registry, LintContext, RunOptions};
 use unicert::x509::{Certificate, CertificateBuilder, GeneralName, RawValue, SimKey};
 
 fn raws(vals: &[CachedVal]) -> Vec<RawValue> {
-    vals.iter().map(|v| v.raw().clone()).collect()
+    vals.iter().map(|v| v.raw()).collect()
 }
 
 /// Assert every cached accessor of one certificate against its direct,
@@ -74,11 +74,12 @@ fn assert_context_matches_direct(cert: &Certificate) {
                 .map(|a| (a.oid.clone(), a.value.clone()))
                 .collect();
             let cached: Vec<_> =
-                ctx.dn_attrs(which).iter().map(|a| (a.oid.clone(), a.val.raw().clone())).collect();
+                ctx.dn_attrs(which).iter().map(|a| (a.oid.clone(), a.val.raw())).collect();
             assert_eq!(direct, cached, "dn_attrs {which:?}");
             for attr in ctx.dn_attrs(which) {
-                let per_oid: Vec<&RawValue> =
+                let owned: Vec<RawValue> =
                     ctx.attr_vals(which, &attr.oid).map(|v| v.raw()).collect();
+                let per_oid: Vec<&RawValue> = owned.iter().collect();
                 assert_eq!(per_oid, helpers::attr_values(cert, which, &attr.oid), "attr_vals");
             }
         }

@@ -1,8 +1,9 @@
 //! Oracles for the lint layer's fast paths, written without their code.
 //!
-//! Four fast paths answer questions that a slower, obvious computation also
-//! answers. Each test here keeps that obvious computation as its reference
-//! and compares the two on inputs built to hit the fast path's edges:
+//! Each fast path here answers a question that a slower, obvious
+//! computation also answers. Each test keeps that obvious computation as
+//! its reference and compares the two on inputs built to hit the fast
+//! path's edges:
 //!
 //! - the bidi rule's "no RTL code point" shortcut, against the rule as it
 //!   read before the shortcut (classes recomputed from literal ranges);
@@ -11,25 +12,36 @@
 //! - the classify stage's byte-level IDN test, against the wire decode plus
 //!   `is_idn_domain` it replaced;
 //! - the cached value's identity wire form and its `strict_ok`, against
-//!   `decode_wire` and `decode_strict` for every string kind.
+//!   `decode_wire` and `decode_strict` for every string kind;
+//! - the cached value's printable-ASCII bit, against `helpers::free_of`
+//!   and a decode of the raw bytes, for every character predicate routed
+//!   through it;
+//! - the cached value's ACE-label memo, against splitting its wire text;
+//! - the DN presence mask behind `attr_vals`, against a linear filter of
+//!   `dn_attrs`;
+//! - the fixed-array timestamp digits, against the `Vec`-based parser they
+//!   replaced.
 //!
 //! [`LabelInfo`]: unicert::lint::context::LabelInfo
 
 use unicert::asn1::oid::known;
 use unicert::asn1::strings::ALL_KINDS;
-use unicert::asn1::{DateTime, StringKind};
+use unicert::asn1::{DateTime, Error, Oid, StringKind};
 use unicert::classify::{classify_ctx, UnicertClass};
 use unicert::corpus::{CorpusConfig, CorpusGenerator};
 use unicert::idna::bidi::satisfies_bidi_rule;
 use unicert::idna::label::{a_to_u, classify_a_label, has_ace_prefix, LabelError};
 use unicert::idna::{is_idn_domain, punycode};
-use unicert::lint::helpers::Which;
+use unicert::lint::context::{CachedVal, LabelInfo};
+use unicert::lint::helpers::{self, Which};
 use unicert::lint::LintContext;
+use unicert::unicode::classify;
 use unicert::unicode::nfc::is_nfc;
 use unicert::unicode::GeneralCategory;
 use unicert::x509::extensions::PolicyQualifier;
 use unicert::x509::{
-    Certificate, CertificateBuilder, GeneralName, ParsedExtension, RawValue, SimKey,
+    AttributeTypeAndValue, Certificate, CertificateBuilder, DistinguishedName, GeneralName,
+    ParsedExtension, RawValue, Rdn, SimKey,
 };
 
 // --- Bidi rule ----------------------------------------------------------
@@ -438,9 +450,8 @@ fn cached_wire_text_and_strict_ok_match_decoders_for_every_kind() {
         }
         let cert = builder.build_signed(&SimKey::from_seed("oracle"));
         let ctx = LintContext::new(&cert);
-        let vals: Vec<_> = ctx
-            .attr_vals(Which::Subject, &known::organization_name())
-            .collect();
+        let org = known::organization_name();
+        let vals: Vec<_> = ctx.attr_vals(Which::Subject, &org).collect();
         assert_eq!(vals.len(), inputs.len(), "{kind:?}");
         for (v, bytes) in vals.into_iter().zip(inputs) {
             assert_eq!(v.bytes(), bytes);
@@ -464,4 +475,381 @@ fn cached_wire_text_and_strict_ok_match_decoders_for_every_kind() {
         }
     }
     assert!(decodable > 0);
+}
+
+// --- Per-value facts ------------------------------------------------------
+
+/// The generated corpus, 2 000 chaos mutants of it that still parse, the
+/// committed vectors and the crafted certificates.
+fn mixed_certs() -> Vec<Certificate> {
+    let mut certs = corpus(10_000);
+    let mut mutator = unicert_chaos::Mutator::new(11);
+    let classes = unicert_chaos::MutationClass::ALL;
+    let mutated: Vec<Vec<u8>> = certs
+        .iter()
+        .take(2_000)
+        .enumerate()
+        .map(|(i, c)| mutator.mutate(&c.raw, classes[i % classes.len()]))
+        .collect();
+    certs.extend(mutated.iter().filter_map(|der| Certificate::parse_der(der).ok()));
+    certs.extend(vector_certs());
+    certs.extend(crafted_certs());
+    certs.extend(byte_edge_certs());
+    certs
+}
+
+/// One certificate per string kind whose subject holds `a` + every byte
+/// value, so each byte meets each kind's decode once.
+fn byte_edge_certs() -> Vec<Certificate> {
+    ALL_KINDS
+        .iter()
+        .map(|&kind| {
+            let mut builder =
+                CertificateBuilder::new().validity_days(DateTime::date(2024, 6, 1).unwrap(), 90);
+            for b in 0..=u8::MAX {
+                builder = builder.subject_attr_raw(known::organization_name(), kind, &[b'a', b]);
+            }
+            builder.build_signed(&SimKey::from_seed("oracle"))
+        })
+        .collect()
+}
+
+/// Every cached value a context holds: both DNs, then every
+/// extension-derived list.
+fn every_value<'c>(ctx: &'c LintContext<'_>) -> Vec<&'c CachedVal> {
+    let dn = [Which::Subject, Which::Issuer]
+        .into_iter()
+        .flat_map(|which| ctx.dn_attrs(which).iter().map(|a| &a.val));
+    let lists = [
+        ctx.san_dns(),
+        ctx.san_rfc822(),
+        ctx.san_uri(),
+        ctx.smtp_mailboxes(),
+        ctx.ian_dns(),
+        ctx.ian_strings(),
+        ctx.aia_uris(),
+        ctx.sia_uris(),
+        ctx.crldp_uris(),
+        ctx.explicit_texts(),
+        ctx.cps_values(),
+    ];
+    dn.chain(lists.into_iter().flatten()).collect()
+}
+
+/// A character class, as the lint catalog tests it.
+type CharPredicate = fn(char) -> bool;
+
+/// The character predicates the catalog answers through
+/// `CachedVal::free_of_unprintable`.
+const UNPRINTABLE_PREDICATES: [(&str, CharPredicate); 5] = [
+    ("nul", |c| c == '\u{0}'),
+    ("bidi_control", classify::is_bidi_control),
+    ("zero_width", classify::is_zero_width),
+    ("control", classify::is_control),
+    ("nonstandard_whitespace", classify::is_nonstandard_whitespace),
+];
+
+#[test]
+fn unprintable_predicates_are_false_on_printable_ascii() {
+    for (name, bad) in UNPRINTABLE_PREDICATES {
+        for c in ' '..='~' {
+            assert!(!bad(c), "{name} accepts {c:?}, so the printable-ASCII bit cannot answer it");
+        }
+    }
+}
+
+#[test]
+fn printable_ascii_bit_matches_decoded_text() {
+    let (mut values, mut ascii) = (0usize, 0usize);
+    for cert in mixed_certs() {
+        let ctx = LintContext::new(&cert);
+        for v in every_value(&ctx) {
+            // The bit, recomputed: the wire decode is the bytes
+            // themselves and every byte is printable ASCII.
+            let decoded = v.kind().and_then(|k| k.decode_wire(v.bytes()).ok());
+            let expect_bit = decoded.as_deref().is_some_and(|t| {
+                t.as_bytes() == v.bytes() && t.bytes().all(|b| (0x20..=0x7E).contains(&b))
+            });
+            assert_eq!(v.is_printable_ascii(), expect_bit, "bit of {:?}", v.raw());
+            for (name, bad) in UNPRINTABLE_PREDICATES {
+                let fast = v.free_of_unprintable(bad);
+                assert_eq!(fast, helpers::free_of(v, bad), "{name} on {:?}", v.raw());
+                let slow = decoded.as_deref().is_none_or(|t| !t.chars().any(bad));
+                assert_eq!(fast, slow, "{name} on {:?} (raw decode)", v.raw());
+            }
+            values += 1;
+            ascii += usize::from(expect_bit);
+        }
+    }
+    assert!(ascii > 1000 && values - ascii > 1000, "{ascii} of {values} values printable");
+}
+
+/// An ACE prefix, spelled out: the first four bytes are `xn--` in any case.
+fn ref_ace_prefix(label: &str) -> bool {
+    label.as_bytes().get(..4).is_some_and(|p| p.eq_ignore_ascii_case(b"xn--"))
+}
+
+/// Certificates whose DNS-bearing values sit on the ACE memo's edges.
+fn ace_edge_certs() -> Vec<Certificate> {
+    let texts = [
+        "XN--MNCHEN-3YA.DE",
+        "a.Xn--b",
+        "xn--",
+        "..",
+        ".",
+        "",
+        "a..xn--c.",
+        ".XN--b",
+        "xn-.xn-",
+        "x.n--a",
+        "münchen.xn--tda",
+    ];
+    let mut certs = Vec::new();
+    for text in texts {
+        let mut builder = CertificateBuilder::new()
+            .validity_days(DateTime::date(2024, 6, 1).unwrap(), 90)
+            .subject_attr(known::common_name(), StringKind::Bmp, text)
+            .subject_attr(known::common_name(), StringKind::Universal, text)
+            .subject_attr(known::common_name(), StringKind::Utf8, text);
+        for kind in [StringKind::Ia5, StringKind::Bmp, StringKind::Utf8] {
+            builder = builder.add_san(GeneralName::DnsName(RawValue::from_text(kind, text)));
+        }
+        certs.push(builder.build_signed(&SimKey::from_seed("oracle")));
+    }
+    certs
+}
+
+#[test]
+fn ace_label_memo_matches_splitting_the_wire_text() {
+    let preds: [fn(LabelInfo) -> bool; 3] = [|_| true, |i| i.non_nfc, |i| i.roundtrip_mismatch];
+    let (mut values, mut with_ace) = (0usize, 0usize);
+    let mut certs = mixed_certs();
+    certs.extend(ace_edge_certs());
+    for cert in &certs {
+        let ctx = LintContext::new(cert);
+        for v in every_value(&ctx) {
+            let text = v.kind().and_then(|k| k.decode_wire(v.bytes()).ok());
+            let expect = text.as_deref().is_some_and(|t| t.split('.').any(ref_ace_prefix));
+            assert_eq!(v.has_ace_label(), expect, "{:?}", v.raw());
+            for pred in preds {
+                let slow = v.wire_text().is_some_and(|t| ctx.any_ace_label(t, pred));
+                assert_eq!(ctx.any_ace_label_of(v, pred), slow, "{:?}", v.raw());
+            }
+            values += 1;
+            with_ace += usize::from(expect);
+        }
+    }
+    assert!(with_ace > 100 && values - with_ace > 1000, "{with_ace} of {values} values with ACE");
+}
+
+/// Certificates whose DNs carry attribute types the presence mask treats
+/// specially: `id-at` arcs at and beyond the mask's width, the bare `id-at`
+/// arc, and types outside `id-at`.
+fn mask_edge_certs() -> Vec<Certificate> {
+    let oid = |arcs: &[u64]| Oid::from_arcs(arcs).unwrap();
+    let unusual = [
+        oid(&[2, 5, 4, 62]),
+        oid(&[2, 5, 4, 63]),
+        oid(&[2, 5, 4, 64]),
+        oid(&[2, 5, 4, 127]),
+        oid(&[2, 5, 4, 128]),
+        oid(&[2, 5, 4, 300]),
+        oid(&[2, 5, 4, 3, 1]),
+        oid(&[2, 5, 5, 3]),
+        oid(&[1, 2, 3, 4]),
+    ];
+    let atv = |oid: &Oid| AttributeTypeAndValue::new(oid.clone(), StringKind::Utf8, "v");
+    let mut certs = Vec::new();
+    for (i, extra) in unusual.iter().enumerate() {
+        // One unusual type alone, then beside a common one in a
+        // multi-valued RDN, then after an empty RDN.
+        let subject = DistinguishedName {
+            rdns: vec![
+                Rdn { attributes: vec![atv(extra)] },
+                Rdn { attributes: vec![atv(&known::common_name()), atv(extra)] },
+                Rdn { attributes: Vec::new() },
+                Rdn { attributes: vec![atv(&unusual[(i + 1) % unusual.len()])] },
+            ],
+        };
+        let cert = CertificateBuilder::new()
+            .validity_days(DateTime::date(2024, 6, 1).unwrap(), 90)
+            .subject(subject.clone())
+            .issuer(subject)
+            .build_signed(&SimKey::from_seed("oracle"));
+        certs.push(cert);
+    }
+    certs
+}
+
+#[test]
+fn presence_mask_matches_linear_filter() {
+    let mut oids: Vec<Oid> = known::ALL.iter().map(|e| e.oid.clone()).collect();
+    for arcs in [
+        &[2, 5, 4, 63][..],
+        &[2, 5, 4, 64],
+        &[2, 5, 4, 100],
+        &[2, 5, 4, 127],
+        &[2, 5, 4, 128],
+        &[2, 5, 4, 300],
+        &[2, 5, 4],
+        &[2, 5, 4, 3, 1],
+        &[2, 5, 5, 3],
+        &[1, 2, 3, 4],
+    ] {
+        oids.push(Oid::from_arcs(arcs).unwrap());
+    }
+    let mut certs = corpus(2_000);
+    certs.extend(vector_certs());
+    certs.extend(mask_edge_certs());
+    let mut found = 0usize;
+    for cert in &certs {
+        let ctx = LintContext::new(cert);
+        for which in [Which::Subject, Which::Issuer] {
+            for oid in &oids {
+                let fast: Vec<*const CachedVal> =
+                    ctx.attr_vals(which, oid).map(std::ptr::from_ref).collect();
+                let slow: Vec<*const CachedVal> = ctx
+                    .dn_attrs(which)
+                    .iter()
+                    .filter(|a| a.oid == *oid)
+                    .map(|a| std::ptr::from_ref(&a.val))
+                    .collect();
+                assert_eq!(fast, slow, "{which:?} {oid}");
+                assert_eq!(ctx.count_of(which, oid), slow.len(), "{which:?} {oid} count");
+                found += slow.len();
+            }
+        }
+    }
+    assert!(found > 5_000, "only {found} attributes found");
+}
+
+// --- Timestamp digits -----------------------------------------------------
+
+/// The timestamp digits as parsed before the fixed array: one `Vec` per
+/// call.
+fn ref_digits(s: &str) -> Result<Vec<i32>, Error> {
+    s.bytes()
+        .map(|b| if b.is_ascii_digit() { Ok((b - b'0') as i32) } else { Err(Error::InvalidTime) })
+        .collect()
+}
+
+/// `DateTime::from_utc_time` on the `Vec`-based digits.
+fn ref_from_utc_time(bytes: &[u8]) -> Result<DateTime, Error> {
+    let s = std::str::from_utf8(bytes).map_err(|_| Error::InvalidTime)?;
+    if s.len() != 13 || !s.ends_with('Z') {
+        return Err(Error::InvalidTime);
+    }
+    let d = ref_digits(&s[..12])?;
+    let yy = d[0] * 10 + d[1];
+    let year = if yy >= 50 { 1900 + yy } else { 2000 + yy };
+    DateTime::new(
+        year,
+        (d[2] * 10 + d[3]) as u8,
+        (d[4] * 10 + d[5]) as u8,
+        (d[6] * 10 + d[7]) as u8,
+        (d[8] * 10 + d[9]) as u8,
+        (d[10] * 10 + d[11]) as u8,
+    )
+}
+
+/// `DateTime::from_generalized` on the `Vec`-based digits.
+fn ref_from_generalized(bytes: &[u8]) -> Result<DateTime, Error> {
+    let s = std::str::from_utf8(bytes).map_err(|_| Error::InvalidTime)?;
+    if s.len() != 15 || !s.ends_with('Z') {
+        return Err(Error::InvalidTime);
+    }
+    let d = ref_digits(&s[..14])?;
+    let year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3];
+    DateTime::new(
+        year,
+        (d[4] * 10 + d[5]) as u8,
+        (d[6] * 10 + d[7]) as u8,
+        (d[8] * 10 + d[9]) as u8,
+        (d[10] * 10 + d[11]) as u8,
+        (d[12] * 10 + d[13]) as u8,
+    )
+}
+
+#[test]
+fn time_parsing_matches_vec_digits() {
+    let mut inputs: Vec<Vec<u8>> = [
+        "240315123045Z",
+        "500101000000Z",
+        "491231235959Z",
+        "000229000000Z",
+        "010229000000Z",
+        "991231235959Z",
+        "000000000000Z",
+        "999999999999Z",
+        "241315123045Z",
+        "240230123045Z",
+        "240315243045Z",
+        "240315126045Z",
+        "240315123060Z",
+        "2403151230Z",
+        "240315123045",
+        "24031512304aZ",
+        "24031512304 Z",
+        "2403151230450Z",
+        "Z",
+        "",
+        "20240315123045Z",
+        "20000229000000Z",
+        "19000229000000Z",
+        "00000101000000Z",
+        "99991231235959Z",
+        "99999999999999Z",
+        "20240315123045+0800",
+        "2024031512304Z",
+        "202403151230456Z",
+        "2024031512304éZ",
+        "24031512304éZ",
+    ]
+    .iter()
+    .map(|s| s.as_bytes().to_vec())
+    .collect();
+    inputs.push(b"24031512304\xffZ".to_vec());
+    inputs.push(b"2024031512304\xc3Z".to_vec());
+    // Seeded random inputs: fields near their valid ranges in both forms,
+    // a quarter with one byte replaced and some cut or extended.
+    let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut next = move |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+    let noise = b"0123456789Z+-. a\xff";
+    for _ in 0..50_000 {
+        let year = if next(2) == 0 { format!("{:02}", next(100)) } else { format!("{:04}", next(10_000)) };
+        let fields = [next(14), next(33), next(26), next(62), next(62)];
+        let mut input = year.into_bytes();
+        for field in fields {
+            input.extend(format!("{field:02}").bytes());
+        }
+        input.push(b'Z');
+        if next(4) == 0 {
+            let at = next(input.len() as u64) as usize;
+            input[at] = noise[next(noise.len() as u64) as usize];
+        }
+        match next(8) {
+            0 => input.truncate(input.len() - 1),
+            1 => input.insert(0, b'1'),
+            _ => {}
+        }
+        inputs.push(input);
+    }
+    let (mut utc_ok, mut gen_ok) = (0usize, 0usize);
+    for input in &inputs {
+        let utc = DateTime::from_utc_time(input);
+        assert_eq!(utc, ref_from_utc_time(input), "UTCTime {input:?}");
+        let generalized = DateTime::from_generalized(input);
+        assert_eq!(generalized, ref_from_generalized(input), "GeneralizedTime {input:?}");
+        utc_ok += usize::from(utc.is_ok());
+        gen_ok += usize::from(generalized.is_ok());
+    }
+    assert!(
+        utc_ok > 1_000 && gen_ok > 1_000,
+        "{utc_ok} UTCTime and {gen_ok} GeneralizedTime accepted"
+    );
 }

@@ -15,7 +15,9 @@
 //!   every accessor, the full-tree [`CertView::to_owned`] bridge, and the
 //!   complete default registry on every certificate;
 //! - every committed golden vector (`tests/vectors/webpki` +
-//!   `tests/vectors/bimi`) through the same assertions;
+//!   `tests/vectors/bimi`) through the same assertions, plus one crafted
+//!   certificate whose names hold multi-valued and empty RDNs, which the
+//!   generator never writes;
 //! - the committed malformed vectors plus all ten chaos mutation classes
 //!   through the view-vs-reference oracle: same accept/reject decision,
 //!   same error value, same [`Error::class`] on every input.
@@ -27,8 +29,12 @@ use std::path::PathBuf;
 use unicert::corpus::{BimiConfig, BimiGenerator, CorpusConfig, CorpusGenerator};
 use unicert::lint::{default_registry, LintContext, RunOptions};
 use unicert::parsers::differential::run_oracle;
-use unicert::x509::{reference, CertView, Certificate};
-use unicert_asn1::{Error, ParseBudget};
+use unicert::x509::{
+    reference, AttributeTypeAndValue, CertView, Certificate, CertificateBuilder,
+    DistinguishedName, Rdn, SimKey,
+};
+use unicert_asn1::oid::known;
+use unicert_asn1::{DateTime, Error, ParseBudget, StringKind};
 use unicert_chaos::{MutationClass, Mutator};
 
 fn vectors_dir(profile: &str) -> PathBuf {
@@ -185,6 +191,53 @@ fn golden_webpki_vectors_views_match_owned() {
             .unwrap_or_else(|e| panic!("{name}: golden vector does not parse ({e:?})"));
         assert_view_matches_owned(&name, &der, &cert);
     }
+}
+
+#[test]
+fn multi_valued_and_empty_rdns_match_reference() {
+    let atv = |oid, text| AttributeTypeAndValue::new(oid, StringKind::Utf8, text);
+    let subject = DistinguishedName {
+        rdns: vec![
+            Rdn {
+                attributes: vec![
+                    atv(known::common_name(), "multi.example"),
+                    atv(known::organization_name(), "Example"),
+                ],
+            },
+            Rdn { attributes: Vec::new() },
+            Rdn { attributes: vec![atv(known::country_name(), "DE")] },
+            Rdn {
+                attributes: vec![
+                    atv(known::organizational_unit(), "Unit"),
+                    atv(known::locality_name(), "Köln"),
+                    atv(known::state_or_province(), "NRW"),
+                ],
+            },
+            Rdn { attributes: Vec::new() },
+        ],
+    };
+    let issuer = DistinguishedName {
+        rdns: vec![
+            Rdn { attributes: Vec::new() },
+            Rdn { attributes: vec![atv(known::common_name(), "Issuer R1")] },
+        ],
+    };
+    let der = CertificateBuilder::new()
+        .validity_days(DateTime::date(2024, 6, 1).unwrap(), 90)
+        .subject(subject)
+        .issuer(issuer)
+        .add_dns_san("multi.example")
+        .build_signed(&SimKey::from_seed("rdn-shapes"))
+        .raw;
+    let cert = reference::parse_der(&der, None).expect("crafted certificate parses");
+    assert_view_matches_owned("multi_valued_and_empty_rdns", &der, &cert);
+    let view = CertView::parse_der(&der).expect("view parses");
+    let shape = |rdns: Vec<&[unicert::x509::AttrView<'_>]>| -> Vec<usize> {
+        rdns.iter().map(|r| r.len()).collect()
+    };
+    assert_eq!(shape(view.subject.rdns().collect()), [2, 0, 1, 3, 0]);
+    assert_eq!(shape(view.issuer.rdns().collect()), [0, 1]);
+    assert_eq!(view.subject.rdn_count(), 5);
 }
 
 #[test]
