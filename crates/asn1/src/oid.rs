@@ -38,6 +38,7 @@ pub struct Oid {
 
 impl Oid {
     /// Build from raw content octets already validated by the caller.
+    #[inline]
     fn from_bytes(der: &[u8]) -> Oid {
         if der.len() <= INLINE_CAP {
             let mut buf = [0u8; INLINE_CAP];
@@ -88,6 +89,7 @@ impl Oid {
     }
 
     /// Parse DER content octets (the V of the OID's TLV).
+    #[inline]
     pub fn from_der_value(der: &[u8]) -> Result<Oid> {
         if der.is_empty() || der.last().map(|b| b & 0x80 != 0) == Some(true) {
             return Err(Error::InvalidOid);

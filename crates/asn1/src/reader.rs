@@ -79,6 +79,7 @@ pub struct BudgetState {
 
 impl BudgetState {
     /// Charge one decoded TLV element of `raw_len` total bytes.
+    #[inline]
     fn charge(&self, raw_len: usize) -> Result<()> {
         let elements = self.elements.get().saturating_add(1);
         self.elements.set(elements);
@@ -167,11 +168,13 @@ pub struct Tlv<'a> {
 
 impl<'a> Tlv<'a> {
     /// A reader over this element's contents (for constructed types).
+    #[inline]
     pub fn contents(&self) -> Reader<'a> {
         Reader::new(self.value)
     }
 
     /// Require this element to carry `expected`, else [`Error::TagMismatch`].
+    #[inline]
     pub fn expect(&self, expected: Tag) -> Result<&Tlv<'a>> {
         if self.tag == expected {
             Ok(self)
@@ -193,6 +196,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Start reading at the beginning of `input`.
+    #[inline]
     pub fn new(input: &'a [u8]) -> Reader<'a> {
         Reader { input, pos: 0, depth: 0, base: 0, budget: None }
     }
@@ -213,6 +217,7 @@ impl<'a> Reader<'a> {
     /// sequence/set helpers) share the same budget state, so the limits are
     /// cumulative across the whole parse — call [`ParseBudget::admit`] on
     /// the input first to enforce `max_input`.
+    #[inline]
     pub fn with_budget(input: &'a [u8], budget: &'a BudgetState) -> Reader<'a> {
         Reader { input, pos: 0, depth: 0, base: 0, budget: Some(budget) }
     }
@@ -230,22 +235,26 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.input.len() - self.pos
     }
 
     /// The cursor's absolute byte offset: position within this reader's
     /// slice plus the base offset inherited from enclosing readers.
+    #[inline]
     pub fn offset(&self) -> usize {
         self.base.saturating_add(self.pos)
     }
 
     /// True when every byte has been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Fail with [`Error::TrailingData`] unless the input is exhausted.
+    #[inline]
     pub fn finish(&self) -> Result<()> {
         if self.is_empty() {
             Ok(())
@@ -254,6 +263,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(Error::UnexpectedEof { needed: n - self.remaining() });
@@ -264,6 +274,7 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    #[inline]
     fn take_byte(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
@@ -271,11 +282,13 @@ impl<'a> Reader<'a> {
     /// Peek the tag of the next element without consuming anything.
     ///
     /// Returns `None` at end of input. Used for OPTIONAL fields.
+    #[inline]
     pub fn peek_tag(&self) -> Option<Tag> {
         let mut clone = self.clone();
         clone.read_tag().ok()
     }
 
+    #[inline]
     fn read_tag(&mut self) -> Result<Tag> {
         let first = self.take_byte()?;
         let (class, constructed, low) = Tag::from_first_octet(first);
@@ -309,6 +322,7 @@ impl<'a> Reader<'a> {
         Ok(Tag { class, constructed, number })
     }
 
+    #[inline]
     fn read_length(&mut self) -> Result<usize> {
         let first = self.take_byte()?;
         if first < 0x80 {
@@ -341,6 +355,7 @@ impl<'a> Reader<'a> {
     /// allocation or a loop bound from it. This makes "length bombs"
     /// structurally inert — no code downstream of the reader ever sees a
     /// declared length larger than the remaining input.
+    #[inline]
     fn admit_length(&self, len: usize) -> Result<usize> {
         if len > self.remaining() {
             return Err(Error::UnexpectedEof { needed: len - self.remaining() });
@@ -349,6 +364,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read the next complete TLV element.
+    #[inline]
     pub fn read_tlv(&mut self) -> Result<Tlv<'a>> {
         let start = self.pos;
         let tag = self.read_tag()?;
@@ -374,6 +390,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read the next element and require tag `expected`.
+    #[inline]
     pub fn read_expected(&mut self, expected: Tag) -> Result<Tlv<'a>> {
         let tlv = self.read_tlv()?;
         tlv.expect(expected)?; // analysis:allow(expect) Tlv::expect returns Result, it never panics
@@ -381,6 +398,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read an element only if its tag matches (OPTIONAL fields).
+    #[inline]
     pub fn read_optional(&mut self, tag: Tag) -> Result<Option<Tlv<'a>>> {
         match self.peek_tag() {
             Some(t) if t == tag => Ok(Some(self.read_tlv()?)),
@@ -390,6 +408,7 @@ impl<'a> Reader<'a> {
 
     /// Read an element whose tag is context-specific `[n]` regardless of the
     /// constructed bit (OPTIONAL fields that implementations encode loosely).
+    #[inline]
     pub fn read_optional_context(&mut self, number: u32) -> Result<Option<Tlv<'a>>> {
         match self.peek_tag() {
             Some(t) if t.class == Class::ContextSpecific && t.number == number => {

@@ -80,12 +80,12 @@ impl DistinguishedName {
     /// The first value of the given type (what PyOpenSSL-style parsers
     /// return for duplicated attributes — §4.3.1).
     pub fn first_value(&self, oid: &Oid) -> Option<&RawValue> {
-        self.all_values(oid).first().copied()
+        self.attributes().find(|a| &a.oid == oid).map(|a| &a.value)
     }
 
     /// The last value (what Go-crypto-style parsers return).
     pub fn last_value(&self, oid: &Oid) -> Option<&RawValue> {
-        self.all_values(oid).last().copied()
+        self.attributes().filter(|a| &a.oid == oid).last().map(|a| &a.value)
     }
 
     /// First CommonName, decoded leniently.

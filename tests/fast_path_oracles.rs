@@ -20,13 +20,18 @@
 //! - the DN presence mask behind `attr_vals`, against a linear filter of
 //!   `dn_attrs`;
 //! - the fixed-array timestamp digits, against the `Vec`-based parser they
-//!   replaced.
+//!   replaced;
+//! - `Reader::read_tlv`, against a TLV header decoder written here from
+//!   X.690 (it shares no code with the reader, which the reference
+//!   certificate decoder also goes through).
 //!
 //! [`LabelInfo`]: unicert::lint::context::LabelInfo
 
 use unicert::asn1::oid::known;
 use unicert::asn1::strings::ALL_KINDS;
-use unicert::asn1::{DateTime, Error, Oid, StringKind};
+use unicert::asn1::{
+    BudgetState, Class, DateTime, Error, Oid, ParseBudget, Reader, StringKind, Tag, Tlv,
+};
 use unicert::classify::{classify_ctx, UnicertClass};
 use unicert::corpus::{CorpusConfig, CorpusGenerator};
 use unicert::idna::bidi::satisfies_bidi_rule;
@@ -852,4 +857,191 @@ fn time_parsing_matches_vec_digits() {
         utc_ok > 1_000 && gen_ok > 1_000,
         "{utc_ok} UTCTime and {gen_ok} GeneralizedTime accepted"
     );
+}
+
+// --- TLV header decode ----------------------------------------------------
+
+/// The tag number octets the reader accepts after a high-form identifier:
+/// at most four (28 bits), its bound on tag numbers.
+const MAX_TAG_OCTETS: usize = 4;
+
+/// One element decoded from the front of `input` by the rules of X.690
+/// alone: `(tag, header length, content length)`.
+///
+/// - Identifier octets (§8.1.2): class in bits 8-7, constructed in bit 6,
+///   the number in bits 5-1 below 31. Otherwise (§8.1.2.4) the number
+///   follows base-128, bit 8 set on every octet but the last; the first
+///   of them is not 0x80 and a number below 31 must use the one-octet
+///   form (the minimal encoding DER requires).
+/// - Length octets (§8.1.3, DER §10.1): definite only; short form below
+///   0x80; long form 0x81-0x88 with no leading zero octet and a value of
+///   at least 0x80; 0x80 is indefinite; more than 8 octets is refused.
+/// - A length or tag octet past the end, or content longer than what is
+///   left, is `UnexpectedEof` with the number of missing bytes.
+fn ref_header(input: &[u8]) -> Result<(Tag, usize, usize), Error> {
+    let eof = |needed: usize| Error::UnexpectedEof { needed };
+    let first = *input.first().ok_or(eof(1))?;
+    let class = match first >> 6 {
+        0 => Class::Universal,
+        1 => Class::Application,
+        2 => Class::ContextSpecific,
+        _ => Class::Private,
+    };
+    let constructed = first & 0x20 != 0;
+    let mut at = 1;
+    let mut number = u32::from(first & 0x1F);
+    if number == 0x1F {
+        number = 0;
+        loop {
+            if at > MAX_TAG_OCTETS {
+                return Err(Error::InvalidTag);
+            }
+            let b = *input.get(at).ok_or(eof(1))?;
+            if at == 1 && b == 0x80 {
+                return Err(Error::InvalidTag);
+            }
+            number = number * 128 + u32::from(b & 0x7F);
+            at += 1;
+            if b & 0x80 == 0 {
+                break;
+            }
+        }
+        if number < 31 {
+            return Err(Error::InvalidTag);
+        }
+    }
+    let tag = Tag { class, constructed, number };
+    let l0 = *input.get(at).ok_or(eof(1))?;
+    at += 1;
+    let len = match l0 {
+        0x00..=0x7F => usize::from(l0),
+        0x80 => return Err(Error::IndefiniteLength),
+        0x81..=0x88 => {
+            let n = usize::from(l0 - 0x80);
+            let octets = input.get(at..at + n).ok_or_else(|| eof(at + n - input.len()))?;
+            at += n;
+            if octets[0] == 0 {
+                return Err(Error::NonMinimalLength);
+            }
+            let len = octets.iter().fold(0u64, |acc, &b| acc * 256 + u64::from(b));
+            if len < 0x80 {
+                return Err(Error::NonMinimalLength);
+            }
+            usize::try_from(len).map_err(|_| Error::InvalidLength)?
+        }
+        _ => return Err(Error::InvalidLength),
+    };
+    let left = input.len() - at;
+    if len > left {
+        return Err(eof(len - left));
+    }
+    Ok((tag, at, len))
+}
+
+/// Read the element at the front of `rest` with `r` (positioned there)
+/// and compare everything the reader reports with [`ref_header`]: tag,
+/// value and raw slices (as positions in `rest`), the exact error, the
+/// bytes left, and what the read added to the budget's element and byte
+/// counts. Returns the element when both decode it, `None` when both
+/// refuse it with the same error.
+fn compare_read<'a>(
+    r: &mut Reader<'a>,
+    rest: &'a [u8],
+    budget: &BudgetState,
+) -> Result<Option<Tlv<'a>>, String> {
+    let before = (budget.elements_used(), budget.tlv_bytes_used());
+    let want = ref_header(rest);
+    let got = r.read_tlv();
+    let after = (budget.elements_used(), budget.tlv_bytes_used());
+    match (&got, &want) {
+        (Ok(tlv), Ok((tag, hdr, len))) => {
+            let end = hdr + len;
+            if tlv.tag == *tag
+                && std::ptr::eq(tlv.raw, &rest[..end])
+                && std::ptr::eq(tlv.value, &rest[*hdr..end])
+                && r.remaining() == rest.len() - end
+                && after == (before.0 + 1, before.1 + end as u64)
+            {
+                return Ok(Some(*tlv));
+            }
+        }
+        (Err(g), Err(w)) if g == w && after == before => return Ok(None),
+        _ => {}
+    }
+    Err(format!(
+        "{:02x?}: reader {got:?} with counts {before:?} -> {after:?}, X.690 {want:?}",
+        &rest[..rest.len().min(16)]
+    ))
+}
+
+/// Walk `der` element by element with one budgeted reader per level,
+/// recursing into constructed contents, and compare every element reached
+/// with [`ref_header`], up to and including the refusal that ends each
+/// level (at its end, `UnexpectedEof`). Returns the elements read.
+fn walk_against_ref(der: &[u8], budget: &BudgetState) -> Result<u64, String> {
+    let mut r = Reader::with_budget(der, budget);
+    let (mut read, mut at) = (0, 0);
+    while let Some(tlv) = compare_read(&mut r, &der[at..], budget)? {
+        read += 1;
+        at += tlv.raw.len();
+        if tlv.tag.constructed {
+            read += walk_against_ref(tlv.value, budget)?;
+        }
+    }
+    Ok(read)
+}
+
+#[test]
+fn header_decode_matches_x690_on_every_two_octet_prefix() {
+    const THIRD: [u8; 7] = [0x00, 0x01, 0x7F, 0x80, 0x81, 0x82, 0xFF];
+    // Content bytes that, read as length or tag octets, are themselves
+    // edge values (0x05 after a high-form tag and 0x81 is a non-minimal
+    // long-form length).
+    let content: Vec<u8> =
+        [0x05, 0x81, 0x00, 0x80, 0xFF, 0x7F, 0x01].iter().copied().cycle().take(300).collect();
+    let mut input = Vec::with_capacity(3 + content.len());
+    let mut outcomes = std::collections::BTreeMap::<&str, usize>::new();
+    for prefix in 0..=u16::MAX {
+        for third in THIRD {
+            for len in [0, 1, 2, 3, 4, 300] {
+                input.clear();
+                input.extend(prefix.to_be_bytes());
+                input.push(third);
+                input.extend(&content[..len]);
+                let budget = ParseBudget::default().start();
+                let mut r = Reader::with_budget(&input, &budget);
+                compare_read(&mut r, &input, &budget).unwrap_or_else(|msg| panic!("{msg}"));
+                let outcome = match ref_header(&input) {
+                    Ok(_) => "ok",
+                    Err(Error::UnexpectedEof { .. }) => "UnexpectedEof",
+                    Err(Error::InvalidTag) => "InvalidTag",
+                    Err(Error::IndefiniteLength) => "IndefiniteLength",
+                    Err(Error::NonMinimalLength) => "NonMinimalLength",
+                    Err(Error::InvalidLength) => "InvalidLength",
+                    Err(_) => "other",
+                };
+                *outcomes.entry(outcome).or_default() += 1;
+            }
+        }
+    }
+    // Every outcome a header can have is reached, and no other.
+    assert_eq!(
+        outcomes.keys().copied().collect::<Vec<_>>(),
+        ["IndefiniteLength", "InvalidLength", "InvalidTag", "NonMinimalLength", "UnexpectedEof", "ok"],
+        "{outcomes:?}"
+    );
+}
+
+#[test]
+fn header_decode_matches_x690_on_every_element_of_chaos_mutants() {
+    let config = CorpusConfig { size: 2_000, seed: 7, precert_fraction: 0.0, latent_defects: true };
+    let mut mutator = unicert_chaos::Mutator::new(7);
+    let classes = unicert_chaos::MutationClass::ALL;
+    let mut elements = 0;
+    for (i, entry) in CorpusGenerator::new(config).enumerate() {
+        let der = mutator.mutate(&entry.cert.raw, classes[i % classes.len()]);
+        let budget = ParseBudget::default().start();
+        elements += walk_against_ref(&der, &budget).unwrap_or_else(|msg| panic!("mutant #{i}: {msg}"));
+    }
+    assert!(elements > 50_000, "only {elements} elements walked");
 }

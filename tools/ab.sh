@@ -11,15 +11,17 @@
 # alternate the two sides on every BENCHMARK.json workload, running the
 # BENCHMARK.json command with `--seconds S --trace 0`. Pair i uses seed
 # K+i-1 on both sides; the reference runs first on odd pairs, the working
-# tree first on even ones. Finally one traced run per side (ct_survey,
-# seed 7, `--trace 1`) checks that the machine-independent work counts
-# (every per-layer metric whose unit is `count`) are equal.
+# tree first on even ones. Finally each side makes one traced run per
+# workload (seed 7, `--seconds S --trace 1`), which gives the per-layer
+# breakdown and checks, workload by workload, that the machine-independent
+# work counts (every per-layer metric whose unit is `count`) are equal.
 #
 # Printed, per workload and end-to-end metric: both medians, both q1-q3
 # ranges, how many pairs the working tree won and each side's largest
-# fail_frac (failed / attempted inputs). The same numbers, the per-run raw
-# values and the traced comparison go to one JSON summary (FILE, default
-# DIR/ab-summary.json).
+# fail_frac (failed / attempted inputs); then, per workload, the traced
+# layers of both sides. The same numbers, the per-run raw values and the
+# traced comparisons (`traced`, keyed by workload) go to one JSON summary
+# (FILE, default DIR/ab-summary.json).
 #
 # Defaults: N = 10, S = BENCHMARK.json's run_seconds, K = 1001,
 # DIR = ${TMPDIR:-/tmp}/unicert-ab. Run from anywhere inside the
@@ -27,7 +29,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
     exit "${1:-2}"
 }
 
@@ -104,10 +106,12 @@ for i in $(seq 1 "$pairs"); do
     done
 done
 
-for side in ref work; do
-    echo "# traced ct_survey seed 7 $side" >&2
-    run_side "$side" "$work/runs/traced-$side.json" \
-        --workload ct_survey --seed 7 --trace 1
+for w in "${workloads[@]}"; do
+    for side in ref work; do
+        echo "# traced $w seed 7 $side" >&2
+        run_side "$side" "$work/runs/traced-$w-$side.json" \
+            --workload "$w" --seed 7 --seconds "$seconds" --trace 1
+    done
 done
 
 python3 - "$bench" "$work/runs" "$pairs" "$seed0" "$seconds" "$ref_commit" "$out" <<'PY'
@@ -180,17 +184,19 @@ for w in (x["name"] for x in bench["workloads"]):
         }
     summary["workloads"][w] = entry
 
-traced = {side: load(os.path.join(runs, f"traced-{side}.json")) for side in ("ref", "work")}
 counts = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
-layers = {}
-for m in bench["per_layer"]:
-    row = {}
-    for side, r in traced.items():
-        row[side] = r["metrics"][m["name"]]["value"] if r and m["name"] in r.get("metrics", {}) else None
-    layers[m["name"]] = row
-unequal = [n for n in counts if layers[n]["ref"] != layers[n]["work"]]
-summary["traced"] = {"workload": "ct_survey", "seed": 7, "work_counts_equal": not unequal,
-                     "unequal_counts": unequal, "layers": layers}
+summary["traced"] = {}
+for w in summary["workloads"]:
+    traced = {side: load(os.path.join(runs, f"traced-{w}-{side}.json")) for side in ("ref", "work")}
+    layers = {}
+    for m in bench["per_layer"]:
+        row = {}
+        for side, r in traced.items():
+            row[side] = r["metrics"][m["name"]]["value"] if r and m["name"] in r.get("metrics", {}) else None
+        layers[m["name"]] = row
+    unequal = [n for n in counts if layers[n]["ref"] != layers[n]["work"]]
+    summary["traced"][w] = {"seed": 7, "seconds": seconds, "work_counts_equal": not unequal,
+                            "unequal_counts": unequal, "layers": layers}
 
 with open(out, "w") as f:
     json.dump(summary, f, indent=2)
@@ -212,9 +218,10 @@ for w, entry in summary["workloads"].items():
         print(f"  {name:18} {fmt(s['ref']['median']):>11} {fmt(s['ref']['q1']) + '-' + fmt(s['ref']['q3']):>19} "
               f"{fmt(s['work']['median']):>11} {fmt(s['work']['q1']) + '-' + fmt(s['work']['q3']):>19} "
               f"{change:>8} {s['wins']:>3}/{s['pairs']:<2}  {'yes' if s['gap_exceeds_ref_iqr'] else 'no'}")
-t = summary["traced"]
-print(f"\ntraced ct_survey seed 7: work counts {'equal' if t['work_counts_equal'] else 'DIFFER: ' + ', '.join(t['unequal_counts'])}")
-for name, row in t["layers"].items():
-    print(f"  {name:40} {fmt(row['ref']):>12} {fmt(row['work']):>12}")
+for w, t in summary["traced"].items():
+    print(f"\ntraced {w} seed 7: work counts {'equal' if t['work_counts_equal'] else 'DIFFER: ' + ', '.join(t['unequal_counts'])}")
+    print(f"  {'layer':40} {'ref':>12} {'work':>12}")
+    for name, row in t["layers"].items():
+        print(f"  {name:40} {fmt(row['ref']):>12} {fmt(row['work']):>12}")
 print(f"\nsummary: {out}")
 PY
